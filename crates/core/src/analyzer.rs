@@ -3,6 +3,7 @@
 use protest_netlist::{Circuit, NodeId};
 use protest_sim::{collapse_universe, dominance_collapse, Fault, FaultUniverse};
 
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use crate::aig::Aig;
@@ -28,12 +29,41 @@ pub struct FaultEstimate {
     pub detection: f64,
 }
 
+/// The circuit an [`Analyzer`] evaluates: borrowed from the caller
+/// ([`Analyzer::new`], zero-copy) or held by shared ownership
+/// ([`Analyzer::from_arc`], which makes the analyzer `'static`). It derefs
+/// to [`Circuit`], so every consumer has one code path.
+#[derive(Debug, Clone)]
+pub(crate) enum CircuitRef<'c> {
+    Borrowed(&'c Circuit),
+    Shared(Arc<Circuit>),
+}
+
+impl Deref for CircuitRef<'_> {
+    type Target = Circuit;
+
+    fn deref(&self) -> &Circuit {
+        match self {
+            CircuitRef::Borrowed(c) => c,
+            CircuitRef::Shared(c) => c,
+        }
+    }
+}
+
 /// The PROTEST analyzer: builds all probability-independent structure once
 /// (AIG, joining points, fault universe), then evaluates any input
 /// probability vector cheaply — which is exactly what the optimizer needs.
-#[derive(Debug)]
+///
+/// A cheap-[`Clone`] handle: clones share one built state, so sessions
+/// and pools hold their own handle instead of borrowing the analyzer.
+#[derive(Debug, Clone)]
 pub struct Analyzer<'c> {
-    circuit: &'c Circuit,
+    inner: Arc<AnalyzerState<'c>>,
+}
+
+#[derive(Debug)]
+struct AnalyzerState<'c> {
+    circuit: CircuitRef<'c>,
     params: AnalyzerParams,
     /// Monolithic-AIG estimator, built on first use (sessions force it;
     /// partitioned one-shot runs never do).
@@ -64,6 +94,15 @@ pub struct Analyzer<'c> {
     partitioning: OnceLock<Option<crate::partition::Partitioning>>,
 }
 
+impl Analyzer<'static> {
+    /// Creates an analyzer that shares ownership of its circuit, so it
+    /// borrows nothing and can live as long as any holder needs it (a
+    /// long-running service keeps one per registered circuit).
+    pub fn from_arc(circuit: Arc<Circuit>, params: AnalyzerParams) -> Self {
+        Self::build(CircuitRef::Shared(circuit), params)
+    }
+}
+
 impl<'c> Analyzer<'c> {
     /// Creates an analyzer with default parameters over the collapsed fault
     /// universe.
@@ -81,6 +120,11 @@ impl<'c> Analyzer<'c> {
     /// equivalence classes — where one proof covers every member — may be
     /// dropped wholesale.
     pub fn with_params(circuit: &'c Circuit, params: AnalyzerParams) -> Self {
+        Self::build(CircuitRef::Borrowed(circuit), params)
+    }
+
+    fn build(circuit_ref: CircuitRef<'c>, params: AnalyzerParams) -> Self {
+        let circuit = &*circuit_ref;
         let universe = FaultUniverse::all(circuit);
         let uncollapsed = universe.len();
         let mut collapsed = collapse_universe(circuit, &universe);
@@ -113,8 +157,8 @@ impl<'c> Analyzer<'c> {
         }
         let class_sizes = collapsed.classes().iter().map(|c| c.len() as u32).collect();
         let exec = Exec::new(params.num_threads);
-        Analyzer {
-            circuit,
+        let state = AnalyzerState {
+            circuit: circuit_ref,
             params,
             estimator: OnceLock::new(),
             faults: collapsed.representatives().to_vec(),
@@ -127,51 +171,54 @@ impl<'c> Analyzer<'c> {
             fault_deps: OnceLock::new(),
             circ_of_aig: OnceLock::new(),
             partitioning: OnceLock::new(),
+        };
+        Analyzer {
+            inner: Arc::new(state),
         }
     }
 
     /// The resolved thread count this analyzer's parallel passes run on
     /// (1 = everything serial).
     pub fn num_threads(&self) -> usize {
-        self.exec.threads()
+        self.inner.exec.threads()
     }
 
     /// The circuit under analysis.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
+    pub fn circuit(&self) -> &Circuit {
+        &self.inner.circuit
     }
 
     /// The analysis parameters.
     pub fn params(&self) -> &AnalyzerParams {
-        &self.params
+        &self.inner.params
     }
 
     /// The collapsed fault list the analyzer estimates (representatives).
     pub fn faults(&self) -> &[Fault] {
-        &self.faults
+        &self.inner.faults
     }
 
     /// Expanded member count of each analyzed class, aligned with
     /// [`faults`](Self::faults) — the weights for class-expanded test
     /// lengths.
     pub fn class_sizes(&self) -> &[u32] {
-        &self.class_sizes
+        &self.inner.class_sizes
     }
 
     /// Size of the uncollapsed fault universe.
     pub fn uncollapsed_fault_count(&self) -> usize {
-        self.uncollapsed
+        self.inner.uncollapsed
     }
 
     /// Fault classes dropped by the redundancy prover (0 unless
     /// [`AnalyzerParams::prune_redundant`] was set).
     pub fn pruned_class_count(&self) -> usize {
-        self.pruned_classes
+        self.inner.pruned_classes
     }
 
     /// Expanded faults inside the pruned classes.
     pub fn pruned_fault_count(&self) -> usize {
-        self.pruned_faults
+        self.inner.pruned_faults
     }
 
     /// Opens an incremental [`AnalysisSession`] at the given input
@@ -183,7 +230,7 @@ impl<'c> Analyzer<'c> {
     ///
     /// Returns [`CoreError::ProbsLength`] if `probs` does not match the
     /// circuit's input count.
-    pub fn session(&self, probs: &InputProbs) -> Result<AnalysisSession<'_, 'c>, CoreError> {
+    pub fn session(&self, probs: &InputProbs) -> Result<AnalysisSession<'c>, CoreError> {
         AnalysisSession::new(self, probs, CancelToken::never())
     }
 
@@ -201,7 +248,7 @@ impl<'c> Analyzer<'c> {
         &self,
         probs: &InputProbs,
         cancel: CancelToken,
-    ) -> Result<AnalysisSession<'_, 'c>, CoreError> {
+    ) -> Result<AnalysisSession<'c>, CoreError> {
         AnalysisSession::new(self, probs, cancel)
     }
 
@@ -256,8 +303,9 @@ impl<'c> Analyzer<'c> {
 
     /// The cached partitioning, built on first use (crate-internal).
     pub(crate) fn partitioning(&self) -> Option<&crate::partition::Partitioning> {
-        self.partitioning
-            .get_or_init(|| crate::partition::plan(self.circuit, &self.params))
+        self.inner
+            .partitioning
+            .get_or_init(|| crate::partition::plan(self.circuit(), &self.inner.params))
             .as_ref()
     }
 
@@ -266,27 +314,33 @@ impl<'c> Analyzer<'c> {
     /// partitioned one-shot path analyzes per-component estimators instead
     /// and never pays for the monolithic one.
     pub(crate) fn estimator(&self) -> &SignalProbEstimator {
-        self.estimator
-            .get_or_init(|| SignalProbEstimator::new(Aig::from_circuit(self.circuit), &self.params))
+        self.inner.estimator.get_or_init(|| {
+            SignalProbEstimator::new(Aig::from_circuit(self.circuit()), &self.inner.params)
+        })
     }
 
     /// The execution context parallel passes run on (crate-internal).
     pub(crate) fn exec(&self) -> &Exec {
-        &self.exec
+        &self.inner.exec
     }
 
     /// The shared observability engine (crate-internal), built when the
     /// first session over this analyzer opens — every session and clone
     /// reuses one levelization and fanout map.
     pub(crate) fn obs_engine(&self) -> &Arc<ObservabilityEngine<'c>> {
-        self.obs_engine
-            .get_or_init(|| Arc::new(ObservabilityEngine::new(self.circuit, &self.params)))
+        self.inner.obs_engine.get_or_init(|| {
+            Arc::new(ObservabilityEngine::from_ref(
+                self.inner.circuit.clone(),
+                &self.inner.params,
+            ))
+        })
     }
 
     /// The shared fault→dependent-nodes map (crate-internal), built on the
     /// first incremental fault refresh of any session over this analyzer.
     pub(crate) fn fault_deps(&self) -> Arc<crate::detect::FaultDeps> {
-        self.fault_deps
+        self.inner
+            .fault_deps
             .get_or_init(|| Arc::new(crate::detect::build_fault_deps(self)))
             .clone()
     }
@@ -302,11 +356,11 @@ impl<'c> Analyzer<'c> {
     /// The AIG→circuit probability-carrier map (crate-internal), shared by
     /// every incremental query consumer.
     pub(crate) fn circ_of_aig(&self) -> &CircOfAig {
-        self.circ_of_aig.get_or_init(|| {
+        self.inner.circ_of_aig.get_or_init(|| {
             let aig = self.estimator().aig();
             let n = aig.len();
             let mut off = vec![0u32; n + 1];
-            for c in 0..self.circuit.num_nodes() {
+            for c in 0..self.circuit().num_nodes() {
                 let lit = aig.lit_of(NodeId::from_index(c));
                 if !lit.is_const() {
                     off[lit.node().index() + 1] += 1;
@@ -317,7 +371,7 @@ impl<'c> Analyzer<'c> {
             }
             let mut dat = vec![0u32; off[n] as usize];
             let mut cursor = off.clone();
-            for c in 0..self.circuit.num_nodes() {
+            for c in 0..self.circuit().num_nodes() {
                 let lit = aig.lit_of(NodeId::from_index(c));
                 if !lit.is_const() {
                     let a = lit.node().index();

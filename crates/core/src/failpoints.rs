@@ -33,7 +33,7 @@
 //! | `core.detect.delay`   | delay per fault-estimation block (delay-only)|
 //! | `serve.worker.panic`  | worker panics mid-job (exercises `catch_unwind`) |
 //! | `serve.worker.delay`  | delay per dispatched job (delay-only)       |
-//! | `serve.host.exit`     | circuit host thread dies (exercises the supervisor) |
+//! | `serve.build.panic`   | a circuit's lazy warm-state build panics (exercises the retry) |
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};

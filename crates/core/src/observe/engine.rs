@@ -9,6 +9,7 @@
 use protest_netlist::analyze::Fanouts;
 use protest_netlist::{Circuit, Levels, NodeId};
 
+use crate::analyzer::CircuitRef;
 use crate::cancel::CancelToken;
 use crate::error::CoreError;
 use crate::exec::Exec;
@@ -56,7 +57,7 @@ pub(crate) struct NodeEvalScratch {
 /// re-sweeps only the dirty reverse region (see `super::incremental`).
 #[derive(Debug)]
 pub struct ObservabilityEngine<'c> {
-    pub(super) circuit: &'c Circuit,
+    pub(super) circuit: CircuitRef<'c>,
     pub(super) levels: Levels,
     pub(super) fanouts: Fanouts,
     pub(super) params: AnalyzerParams,
@@ -69,6 +70,12 @@ pub struct ObservabilityEngine<'c> {
 impl<'c> ObservabilityEngine<'c> {
     /// Builds the engine (levelization + fanout map) for a circuit.
     pub fn new(circuit: &'c Circuit, params: &AnalyzerParams) -> Self {
+        Self::from_ref(CircuitRef::Borrowed(circuit), params)
+    }
+
+    /// Builds the engine over the analyzer's own circuit handle.
+    pub(crate) fn from_ref(circuit_ref: CircuitRef<'c>, params: &AnalyzerParams) -> Self {
+        let circuit = &*circuit_ref;
         let levels = Levels::new(circuit);
         let order = levels.order();
         let mut level_bounds = Vec::new();
@@ -82,10 +89,11 @@ impl<'c> ObservabilityEngine<'c> {
             level_bounds.push((start as u32, end as u32));
             start = end;
         }
+        let fanouts = Fanouts::new(circuit);
         ObservabilityEngine {
-            circuit,
+            circuit: circuit_ref,
             levels,
-            fanouts: Fanouts::new(circuit),
+            fanouts,
             params: *params,
             level_bounds,
         }
@@ -310,7 +318,7 @@ impl<'c> ObservabilityEngine<'c> {
         pins_out: &mut Vec<f64>,
         adjust: Option<StemAdjust>,
     ) -> f64 {
-        let circuit = self.circuit;
+        let circuit = &*self.circuit;
         scratch.branches.clear();
         scratch.branches.extend(
             self.fanouts

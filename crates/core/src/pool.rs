@@ -56,21 +56,20 @@ pub struct PoolStats {
 /// A pool of warm [`AnalysisSession`]s over one [`Analyzer`], all based at
 /// one canonical input-probability vector (see the module docs).
 #[derive(Debug)]
-pub struct SessionPool<'a, 'c> {
-    analyzer: &'a Analyzer<'c>,
+pub struct SessionPool<'c> {
     base: InputProbs,
     /// The warm prototype new sessions are cloned from (kept separate from
     /// `idle` so the pool can always grow without re-running the cold
     /// full-pass construction).
-    template: AnalysisSession<'a, 'c>,
-    idle: Mutex<Vec<AnalysisSession<'a, 'c>>>,
+    template: AnalysisSession<'c>,
+    idle: Mutex<Vec<AnalysisSession<'c>>>,
     warm_hits: AtomicU64,
     cold_clones: AtomicU64,
     live: AtomicU64,
     discarded: AtomicU64,
 }
 
-impl<'a, 'c> SessionPool<'a, 'c> {
+impl<'c> SessionPool<'c> {
     /// Creates a pool based at `base`. Pays one full session construction
     /// (the template every later checkout clones or re-syncs to).
     ///
@@ -78,13 +77,12 @@ impl<'a, 'c> SessionPool<'a, 'c> {
     ///
     /// Returns [`CoreError::ProbsLength`] if `base` does not match the
     /// circuit's input count.
-    pub fn new(analyzer: &'a Analyzer<'c>, base: InputProbs) -> Result<Self, CoreError> {
+    pub fn new(analyzer: &Analyzer<'c>, base: InputProbs) -> Result<Self, CoreError> {
         let mut template = analyzer.session(&base)?;
         // Warm every query cache once so clones start fully warm: a
         // checked-out clone then pays only incremental refreshes.
         template.fault_detect_probs();
         Ok(SessionPool {
-            analyzer,
             base,
             template,
             idle: Mutex::new(Vec::new()),
@@ -96,8 +94,8 @@ impl<'a, 'c> SessionPool<'a, 'c> {
     }
 
     /// The analyzer the pooled sessions evaluate.
-    pub fn analyzer(&self) -> &'a Analyzer<'c> {
-        self.analyzer
+    pub fn analyzer(&self) -> &Analyzer<'c> {
+        self.template.analyzer()
     }
 
     /// The canonical base probabilities sessions are re-synced to.
@@ -118,7 +116,7 @@ impl<'a, 'c> SessionPool<'a, 'c> {
     /// Checks a session out. Warm when an idle session is available, else
     /// a clone of the template. The guard returns (and re-syncs) the
     /// session on drop.
-    pub fn checkout(&self) -> PooledSession<'_, 'a, 'c> {
+    pub fn checkout(&self) -> PooledSession<'_, 'c> {
         let popped = self.idle.lock().unwrap().pop();
         let session = match popped {
             Some(s) => {
@@ -148,7 +146,7 @@ impl<'a, 'c> SessionPool<'a, 'c> {
         }
     }
 
-    fn give_back(&self, mut session: AnalysisSession<'a, 'c>) {
+    fn give_back(&self, mut session: AnalysisSession<'c>) {
         self.live.fetch_sub(1, Ordering::Relaxed);
         // A session poisoned by a mid-refresh cancellation has lost dirty
         // tracking — re-syncing it could return stale values to later
@@ -179,26 +177,26 @@ impl<'a, 'c> SessionPool<'a, 'c> {
 /// A checked-out session (see [`SessionPool::checkout`]); derefs to
 /// [`AnalysisSession`] and re-syncs + returns it to the pool on drop.
 #[derive(Debug)]
-pub struct PooledSession<'p, 'a, 'c> {
-    pool: &'p SessionPool<'a, 'c>,
-    session: Option<AnalysisSession<'a, 'c>>,
+pub struct PooledSession<'p, 'c> {
+    pool: &'p SessionPool<'c>,
+    session: Option<AnalysisSession<'c>>,
 }
 
-impl<'a, 'c> Deref for PooledSession<'_, 'a, 'c> {
-    type Target = AnalysisSession<'a, 'c>;
+impl<'c> Deref for PooledSession<'_, 'c> {
+    type Target = AnalysisSession<'c>;
 
     fn deref(&self) -> &Self::Target {
         self.session.as_ref().expect("session present until drop")
     }
 }
 
-impl DerefMut for PooledSession<'_, '_, '_> {
+impl DerefMut for PooledSession<'_, '_> {
     fn deref_mut(&mut self) -> &mut Self::Target {
         self.session.as_mut().expect("session present until drop")
     }
 }
 
-impl PooledSession<'_, '_, '_> {
+impl PooledSession<'_, '_> {
     /// Drops the session instead of returning it to the pool — for
     /// callers that caught a panic or otherwise no longer trust the
     /// session's state. Counted in [`PoolStats::discarded`].
@@ -208,7 +206,7 @@ impl PooledSession<'_, '_, '_> {
     }
 }
 
-impl Drop for PooledSession<'_, '_, '_> {
+impl Drop for PooledSession<'_, '_> {
     fn drop(&mut self) {
         if let Some(session) = self.session.take() {
             // Unwinding out of a request handler means the session was

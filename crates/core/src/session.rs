@@ -222,8 +222,8 @@ const DENSE_OBS_WINDOW_DIVISOR: usize = 2;
 /// the per-node state only — the optimizer clones one session per worker
 /// to evaluate trial moves in parallel.
 #[derive(Debug)]
-pub struct AnalysisSession<'a, 'c> {
-    analyzer: &'a Analyzer<'c>,
+pub struct AnalysisSession<'c> {
+    analyzer: Analyzer<'c>,
     obs_engine: Arc<ObservabilityEngine<'c>>,
     input_probs: Vec<f64>,
     /// Per-AIG-node probabilities, kept equal to a from-scratch pass.
@@ -270,9 +270,9 @@ pub struct AnalysisSession<'a, 'c> {
     poisoned: bool,
 }
 
-impl<'a, 'c> AnalysisSession<'a, 'c> {
+impl<'c> AnalysisSession<'c> {
     pub(crate) fn new(
-        analyzer: &'a Analyzer<'c>,
+        analyzer: &Analyzer<'c>,
         probs: &InputProbs,
         cancel: CancelToken,
     ) -> Result<Self, CoreError> {
@@ -287,7 +287,7 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
         let n = est.aig().len();
         let circuit_nodes = analyzer.circuit().num_nodes();
         Ok(AnalysisSession {
-            analyzer,
+            analyzer: analyzer.clone(),
             obs_engine,
             input_probs: probs.as_slice().to_vec(),
             aig_probs,
@@ -342,12 +342,12 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
     }
 
     /// The analyzer this session evaluates.
-    pub fn analyzer(&self) -> &'a Analyzer<'c> {
-        self.analyzer
+    pub fn analyzer(&self) -> &Analyzer<'c> {
+        &self.analyzer
     }
 
     /// The circuit under analysis.
-    pub fn circuit(&self) -> &'c Circuit {
+    pub fn circuit(&self) -> &Circuit {
         self.analyzer.circuit()
     }
 
@@ -677,7 +677,9 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
     /// session is poisoned and [`CoreError::Cancelled`] returned.
     fn propagate(&mut self) -> Result<(), CoreError> {
         let _t = protest_telemetry::span(protest_telemetry::Site::Propagate);
-        let analyzer = self.analyzer;
+        // A handle clone (one refcount bump), so the estimator borrow
+        // below does not pin `self` across the `&mut self` updates.
+        let analyzer = self.analyzer.clone();
         let est = analyzer.estimator();
         let exec = analyzer.exec();
         let mut batch = std::mem::take(&mut self.batch_ids);
@@ -869,7 +871,7 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
             return Ok(());
         }
         self.ensure_obs()?;
-        let analyzer = self.analyzer;
+        let analyzer = self.analyzer.clone();
         let circuit = analyzer.circuit();
         let faults = analyzer.faults();
         let exec = analyzer.exec();
@@ -928,10 +930,10 @@ impl<'a, 'c> AnalysisSession<'a, 'c> {
     }
 }
 
-impl Clone for AnalysisSession<'_, '_> {
+impl Clone for AnalysisSession<'_> {
     fn clone(&self) -> Self {
         AnalysisSession {
-            analyzer: self.analyzer,
+            analyzer: self.analyzer.clone(),
             obs_engine: Arc::clone(&self.obs_engine),
             input_probs: self.input_probs.clone(),
             aig_probs: self.aig_probs.clone(),

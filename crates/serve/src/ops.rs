@@ -1,9 +1,9 @@
 //! Executes [`CircuitOp`]s against a registered circuit.
 //!
-//! Every op runs inside a circuit host (see [`crate::registry`]): the
-//! `Circuit` and `Analyzer` are shared by reference across all requests,
-//! and incremental ops borrow a warm [`AnalysisSession`] checked out from
-//! the host's [`SessionPool`](protest_core::SessionPool). A `batch`
+//! Every op runs on an analysis worker (see [`crate::registry`]): the
+//! circuit's `Analyzer` is shared across all requests, and incremental
+//! ops borrow a warm [`AnalysisSession`] checked out from the circuit's
+//! [`SessionPool`](protest_core::SessionPool). A `batch`
 //! request re-uses ONE checkout for all of its entries, so consecutive
 //! analyses of nearby probability vectors pay only the dirty-cone cost.
 
@@ -103,7 +103,7 @@ fn hardest_rows(circuit: &Circuit, estimates: &[FaultEstimate], k: usize) -> Jso
 
 fn run_analyze(
     circuit: &Circuit,
-    session: &mut AnalysisSession<'_, '_>,
+    session: &mut AnalysisSession<'_>,
     probs: &ProbSpec,
     testlens: &[(f64, f64)],
     hardest: usize,
@@ -149,7 +149,7 @@ fn run_analyze(
 fn run_optimize(
     circuit: &Circuit,
     analyzer: &Analyzer<'_>,
-    session: &mut AnalysisSession<'_, '_>,
+    session: &mut AnalysisSession<'_>,
     cancel: &CancelToken,
     n_target: u64,
     seed: u64,
@@ -351,7 +351,7 @@ fn run_simulate(
 pub fn run_op(
     circuit: &Circuit,
     analyzer: &Analyzer<'_>,
-    session: &mut AnalysisSession<'_, '_>,
+    session: &mut AnalysisSession<'_>,
     cancel: &CancelToken,
     op: &CircuitOp,
 ) -> Result<Json, WireError> {

@@ -20,7 +20,7 @@ pub enum ErrorKind {
     Netlist,
     /// The referenced circuit hash is not registered.
     NotFound,
-    /// The circuit's job queue is full — retry later.
+    /// The job queue is full — retry later.
     Busy,
     /// The request exceeded the per-request timeout.
     Timeout,
@@ -35,12 +35,11 @@ pub enum ErrorKind {
     /// analysis loops — contrast with [`Timeout`](ErrorKind::Timeout),
     /// which only means the *client-side wait* gave up).
     Cancelled,
-    /// The daemon failed, not the request: a worker panicked mid-job
-    /// (the panicking worker's session is discarded, never returned to
-    /// the pool, and the daemon keeps serving) or the circuit's host
-    /// thread crashed and dropped the request unanswered (the
-    /// supervisor respawns it). Either way the request is answered with
-    /// this kind rather than left hanging, and a retry is safe.
+    /// The daemon failed, not the request: a worker panicked mid-job or
+    /// while building the circuit's warm state. The panicking worker's
+    /// session is discarded, never returned to the pool, and the daemon
+    /// keeps serving. The request is answered with this kind rather than
+    /// left hanging, and a retry is safe.
     Internal,
 }
 

@@ -11,11 +11,10 @@
 //!   cap with discard-to-newline recovery), parse, route. A handler owns
 //!   its connection for the connection's lifetime; short read timeouts
 //!   let it notice shutdown between requests.
-//! * **per-circuit hosts** — see [`crate::registry`]; handlers talk to
-//!   them through bounded job queues with a per-request timeout.
-//! * **supervisor thread** — periodically respawns any circuit host
-//!   whose thread died with its queue still open, so one crashed host
-//!   never takes the daemon's warm state down with it.
+//! * **M analysis workers** — one fixed pool shared by every registered
+//!   circuit (see [`crate::registry`]); handlers hand them jobs through
+//!   one bounded queue with a per-request timeout. The thread count does
+//!   not grow with the number of registered circuits.
 //! * **optional stats logger** — a periodic one-line metrics report.
 //!
 //! Malformed JSON, unknown ops, oversized lines, full queues and analysis
@@ -45,9 +44,11 @@ pub struct ServeConfig {
     pub addr: String,
     /// Request handler threads.
     pub handlers: usize,
-    /// Analysis worker threads per registered circuit.
+    /// Analysis worker threads, one pool shared by every registered
+    /// circuit (the name predates the shared pool). Each circuit's warm
+    /// session pool is pre-filled with this many sessions.
     pub workers_per_circuit: usize,
-    /// Job-queue capacity per circuit (beyond it requests get `busy`).
+    /// Capacity of the shared job queue (beyond it requests get `busy`).
     pub queue_capacity: usize,
     /// Per-request wall-clock limit.
     pub request_timeout: Duration,
@@ -55,9 +56,10 @@ pub struct ServeConfig {
     pub max_line_bytes: usize,
     /// Emit a one-line stats report this often (`None` = never).
     pub log_every: Option<Duration>,
-    /// Resident-circuit cap (`0` = unlimited). Submitting past it evicts
-    /// the least-recently-used idle circuit host; with every host busy
-    /// the submit is shed with a typed `busy` reply.
+    /// Resident-circuit cap (`0` = unlimited). Submitting past it drops
+    /// the least-recently-used idle circuit (no job queued or running)
+    /// and its warm state; with every circuit busy the submit is shed
+    /// with a typed `busy` reply.
     pub max_circuits: usize,
     /// When `true` (the default), a request that exceeds
     /// [`request_timeout`](Self::request_timeout) also cancels its
@@ -339,7 +341,7 @@ impl ServerHandle {
     }
 
     /// Waits until the server has fully drained: accept loop stopped,
-    /// in-flight requests answered, circuit hosts joined. Returns
+    /// in-flight requests answered, analysis workers joined. Returns
     /// immediately on a second call.
     pub fn wait(&self) {
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock().unwrap());
@@ -418,21 +420,6 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
                 .spawn(move || {
                     while let Some(stream) = conns.pop() {
                         handle_conn(&shared, stream);
-                    }
-                })?,
-        );
-    }
-
-    // Supervisor: restart crashed circuit hosts until the drain begins.
-    {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("serve-supervisor".to_string())
-                .spawn(move || {
-                    while !shared.shutdown.load(Ordering::SeqCst) {
-                        shared.registry.supervise();
-                        std::thread::sleep(Duration::from_millis(50));
                     }
                 })?,
         );

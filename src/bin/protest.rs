@@ -83,10 +83,10 @@
 //! ```text
 //! --addr HOST:PORT  bind address (default 127.0.0.1:3585; port 0 = auto)
 //! --handlers N      request handler threads (default 4)
-//! --workers N       analysis workers per registered circuit (default 2)
-//! --queue N         per-circuit job queue capacity (default 64)
+//! --workers N       analysis worker threads, shared by all circuits (default 2)
+//! --queue N         shared job queue capacity (default 64)
 //! --timeout-secs S  per-request wall-clock limit (default 120)
-//! --max-circuits N  resident-circuit cap, LRU-evict idle hosts (0 = off)
+//! --max-circuits N  resident-circuit cap, LRU-evict idle circuits (0 = off)
 //! --log-secs S      stats log-line interval, 0 = off (default 30)
 //! --self-test       bind an ephemeral port, run a client round-trip
 //!                   against every endpoint, drain, and exit

@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use protest::prelude::*;
 use protest_circuits::{alu_74181, comp24, random_circuit, RandomCircuitParams};
 use protest_core::observe::compute_observability;
-use protest_core::{AnalyzerParams, InputProbs};
+use protest_core::{AnalyzerParams, InputProbs, SessionPool};
+use std::sync::Arc;
 
 const INPUTS: usize = 6;
 
@@ -29,9 +30,11 @@ fn analyzer_with_threads(circuit: &Circuit, threads: usize) -> Analyzer<'_> {
 /// Asserts the session's observabilities (stems *and* pin values) are
 /// `to_bits`-identical to an independent from-scratch reverse sweep over
 /// the session's own signal probabilities.
-fn assert_obs_matches_full_sweep(session: &mut AnalysisSession<'_, '_>) {
-    let circuit = session.circuit();
-    let params = *session.analyzer().params();
+fn assert_obs_matches_full_sweep(session: &mut AnalysisSession<'_>) {
+    // A handle clone, so the circuit borrow does not pin the session.
+    let analyzer = session.analyzer().clone();
+    let circuit = analyzer.circuit();
+    let params = *analyzer.params();
     let probs = session.signal_probs().to_vec();
     let fresh = compute_observability(circuit, &probs, &params);
     let obs = session.observabilities();
@@ -56,8 +59,9 @@ fn assert_obs_matches_full_sweep(session: &mut AnalysisSession<'_, '_>) {
 
 /// Asserts two sessions (e.g. serial vs 4-thread) hold bit-identical
 /// observability state.
-fn assert_obs_sessions_agree(a: &mut AnalysisSession<'_, '_>, b: &mut AnalysisSession<'_, '_>) {
-    let circuit = a.circuit();
+fn assert_obs_sessions_agree(a: &mut AnalysisSession<'_>, b: &mut AnalysisSession<'_>) {
+    let analyzer = a.analyzer().clone();
+    let circuit = analyzer.circuit();
     assert_eq!(a.input_probs(), b.input_probs());
     // Borrow one result at a time: copy A's values out first.
     let stems_a: Vec<u64> = {
@@ -89,11 +93,7 @@ fn build(seed: u64) -> Circuit {
 /// Asserts that the session agrees with a fresh from-scratch analysis at
 /// `probs` on signal probabilities, observabilities and fault detection
 /// probabilities (panics on mismatch, like the `prop_assert!` shim).
-fn assert_matches_fresh(
-    session: &mut AnalysisSession<'_, '_>,
-    analyzer: &Analyzer<'_>,
-    probs: &[f64],
-) {
+fn assert_matches_fresh(session: &mut AnalysisSession<'_>, analyzer: &Analyzer<'_>, probs: &[f64]) {
     let fresh = analyzer
         .run(&InputProbs::from_slice(probs).unwrap())
         .unwrap();
@@ -317,6 +317,72 @@ fn late_first_fault_query_after_many_mutations_matches_fresh() {
     }
     assert_matches_fresh(&mut session, &analyzer, &probs);
 }
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// An analyzer that owns its circuit through an `Arc` is the same
+/// analyzer as one that borrows it: one-shot runs, sessions and pool
+/// checkouts all agree bit for bit.
+#[test]
+fn owned_analyzer_matches_borrowed_bit_for_bit() {
+    for name in ["c17", "comp24", "div8x8"] {
+        let circuit = protest_circuits::by_name(name).unwrap();
+        let borrowed = Analyzer::new(&circuit);
+        let owned: Analyzer<'static> =
+            Analyzer::from_arc(Arc::new(circuit.clone()), AnalyzerParams::default());
+        let n = circuit.num_inputs();
+        let weights: Vec<f64> = (0..n).map(|i| (1 + i % 15) as f64 / 16.0).collect();
+        let probs = InputProbs::from_slice(&weights).unwrap();
+
+        let (a, b) = (borrowed.run(&probs).unwrap(), owned.run(&probs).unwrap());
+        assert_eq!(
+            bits(a.signal_probabilities()),
+            bits(b.signal_probabilities()),
+            "{name}: run signal probabilities"
+        );
+        assert_eq!(
+            bits(&a.detection_probabilities()),
+            bits(&b.detection_probabilities()),
+            "{name}: run detection probabilities"
+        );
+
+        let mut sa = borrowed.session(&probs).unwrap();
+        let mut sb = owned.session(&probs).unwrap();
+        sa.set_input_prob(0, 0.25).unwrap();
+        sb.set_input_prob(0, 0.25).unwrap();
+        assert_eq!(
+            bits(sa.fault_detect_probs()),
+            bits(sb.fault_detect_probs()),
+            "{name}: session detection probabilities"
+        );
+        assert_obs_sessions_agree(&mut sa, &mut sb);
+
+        let pa = SessionPool::new(&borrowed, InputProbs::uniform(n)).unwrap();
+        let pb = SessionPool::new(&owned, InputProbs::uniform(n)).unwrap();
+        let (mut ca, mut cb) = (pa.checkout(), pb.checkout());
+        ca.set_all(&weights).unwrap();
+        cb.set_all(&weights).unwrap();
+        assert_eq!(
+            bits(ca.signal_probs()),
+            bits(cb.signal_probs()),
+            "{name}: pooled signal probabilities"
+        );
+        assert_eq!(
+            bits(ca.fault_detect_probs()),
+            bits(cb.fault_detect_probs()),
+            "{name}: pooled detection probabilities"
+        );
+    }
+}
+
+/// A pool over an owned analyzer borrows nothing, so a long-running
+/// service can keep it in shared state and hand it to worker threads.
+const _: fn() = || {
+    fn assert_send_sync_static<T: Send + Sync + 'static>() {}
+    assert_send_sync_static::<SessionPool<'static>>();
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
