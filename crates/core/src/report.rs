@@ -5,7 +5,7 @@ use std::fmt;
 use protest_netlist::{Circuit, CircuitStats};
 
 use crate::analyzer::{Analyzer, CircuitAnalysis};
-use crate::testlen::TestLength;
+use crate::testlen::{TestLength, TestLengthSolver};
 
 /// A rendered testability report: circuit summary, detection-probability
 /// distribution, least testable faults, and test lengths for requested
@@ -37,6 +37,15 @@ impl TestabilityReport {
     ) -> Self {
         let circuit: &Circuit = analyzer.circuit();
         let mut ps = analysis.detection_probabilities();
+        // One sorted solver per vector serves every row.
+        let rows = |solver: TestLengthSolver| -> Vec<_> {
+            targets
+                .iter()
+                .map(|&(d, e)| (d, e, solver.solve(d, e)))
+                .collect()
+        };
+        let test_lengths = rows(TestLengthSolver::new(&ps));
+        let expanded_test_lengths = rows(TestLengthSolver::weighted(&ps, analyzer.class_sizes()));
         ps.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let min_detection = ps.first().copied().unwrap_or(0.0);
         let median_detection = if ps.is_empty() { 0.0 } else { ps[ps.len() / 2] };
@@ -44,20 +53,6 @@ impl TestabilityReport {
             .hardest_faults(hardest)
             .into_iter()
             .map(|e| (e.fault.label(circuit), e.detection))
-            .collect();
-        let test_lengths = targets
-            .iter()
-            .map(|&(d, e)| (d, e, analysis.required_test_length(d, e)))
-            .collect();
-        let expanded_test_lengths = targets
-            .iter()
-            .map(|&(d, e)| {
-                (
-                    d,
-                    e,
-                    analysis.required_test_length_expanded(analyzer.class_sizes(), d, e),
-                )
-            })
             .collect();
         TestabilityReport {
             circuit_name: circuit.name().to_string(),

@@ -9,6 +9,45 @@
 //!
 //! All computation happens in log space so the paper's extreme regimes
 //! (`N ≈ 3·10⁸` at `p_f ≈ 10⁻⁸`, Table 3) remain numerically stable.
+//!
+//! # One solver, and the zero-term cut
+//!
+//! Every test-length function runs one search: an exponential, then a
+//! binary search for the least `N` whose probe
+//!
+//! ```text
+//! ln P_F(N) = Σ_i count_i · ln(−expm1(N · c_i)),   c_i = ln(1 − p_i)
+//! ```
+//!
+//! reaches `ln e`. [`TestLengthSolver`] sorts the faults by descending
+//! `p` and hoists every `c_i` once; a plain fault set is the weighted one
+//! with every count 1 (`1.0 · x == x` exactly).
+//!
+//! A term with `t = N · c_i ≤ −40` is exactly `0.0`: `e^t < 2⁻⁵⁷` is
+//! below half an ulp of 1, so `expm1(t)` rounds to `−1` and the term is
+//! `ln(1) = 0`. The unit test `zero_term_cut_is_exact` pins this for the
+//! platform's libm. Sorted by descending `p`, the `c_i` ascend, so at
+//! every `N` these zero terms form a prefix that one binary search finds,
+//! and a probe sums only the tail behind it. Skipping is bit-identical to
+//! summing everything: the tail is the same terms, in the same order, with
+//! the same expression, and each skipped term would have added exactly
+//! `0.0` to a sum that starts at `+0.0` and never becomes `−0.0`. At the
+//! large `N` of hard circuits (`≈ 5·10¹⁰`) nearly every fault falls in the
+//! prefix, so a probe costs a binary search and a few tail terms instead
+//! of three transcendental calls per fault.
+//!
+//! At small `N` nothing is cut, but the probe fails anyway: every term is
+//! `≤ 0` and rounding is monotone, so the sum ends at or below each single
+//! term. The probe first evaluates the hardest kept fault's term, and when
+//! that alone is below `ln e` it reports "not reached" without the rest.
+//! The search makes the same probes with the same outcomes, and the
+//! returned confidence is always the full sum.
+
+use std::borrow::Cow;
+use std::cell::Cell;
+use std::cmp::Ordering;
+
+use protest_telemetry::Site;
 
 /// A computed test length.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,6 +125,207 @@ pub fn ln_set_detection_probability_weighted(ps: &[f64], counts: &[u32], n: u64)
     total
 }
 
+/// Below this `t = N·ln(1 − p)` a fault's term `ln(1 − e^t)` is exactly
+/// `0.0` (see the module docs and `zero_term_cut_is_exact`).
+const ZERO_TERM_T: f64 = -40.0;
+
+thread_local! {
+    /// `(probes, evaluated terms)` of the solver on this thread: a
+    /// deterministic work count for the tests.
+    static WORK: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Detection probabilities prepared once for any number of test-length
+/// solves: sorted by descending probability, with `ln(1 − p)` hoisted.
+///
+/// Every `solve(d, e)` returns exactly what
+/// [`required_test_length_fraction`] (or its weighted form) returns for
+/// the same input, so callers with several `(d, e)` rows build one.
+///
+/// ```
+/// use protest_core::testlen::{required_test_length_fraction, TestLengthSolver};
+///
+/// let ps = [0.5, 0.1, 0.01, 1e-6];
+/// let solver = TestLengthSolver::new(&ps);
+/// for (d, e) in [(1.0, 0.95), (0.75, 0.98)] {
+///     assert_eq!(solver.solve(d, e), required_test_length_fraction(&ps, d, e));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct TestLengthSolver {
+    /// `ln(1 − p)` per kept entry in solve order (`−∞` for `p ≥ 1`).
+    ln_miss: Vec<f64>,
+    /// Multiplicity per entry; zero-count entries are dropped.
+    counts: Vec<u32>,
+    /// Sum of `counts`: the size of the expanded universe.
+    total: u64,
+    /// Length of the prefix whose probabilities are all `> 0` (not NaN).
+    valid: usize,
+    /// Length of the prefix of `ln_miss[..valid]` that is non-decreasing,
+    /// where the zero terms of a probe form a prefix.
+    sorted: usize,
+}
+
+impl TestLengthSolver {
+    /// Prepares `ps`, each fault counted once.
+    pub fn new(ps: &[f64]) -> Self {
+        let _span = protest_telemetry::span(Site::TestlenSolve);
+        let mut sorted = ps.to_vec();
+        sorted.sort_by(|&a, &b| easiest_first(a, b));
+        Self::in_order(sorted.into_iter().map(|p| (p, 1)))
+    }
+
+    /// Prepares `ps` with a multiplicity per probability — the
+    /// class-expansion form (see [`ln_set_detection_probability_weighted`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn weighted(ps: &[f64], counts: &[u32]) -> Self {
+        assert_eq!(ps.len(), counts.len(), "one count per probability");
+        let _span = protest_telemetry::span(Site::TestlenSolve);
+        let mut order: Vec<usize> = (0..ps.len()).collect();
+        order.sort_by(|&a, &b| easiest_first(ps[a], ps[b]));
+        Self::in_order(order.into_iter().map(|i| (ps[i], counts[i])))
+    }
+
+    /// `(p, count)` pairs kept in the order given; that order is the
+    /// summation order of every probe.
+    fn in_order(pairs: impl Iterator<Item = (f64, u32)>) -> Self {
+        let (mut ln_miss, mut counts, mut valid) = (Vec::new(), Vec::new(), None);
+        for (p, count) in pairs.filter(|&(_, count)| count > 0) {
+            if valid.is_none() && (p.is_nan() || p <= 0.0) {
+                valid = Some(counts.len());
+            }
+            ln_miss.push(if p >= 1.0 {
+                f64::NEG_INFINITY
+            } else {
+                (-p).ln_1p()
+            });
+            counts.push(count);
+        }
+        let valid = valid.unwrap_or(counts.len());
+        let sorted = ln_miss[..valid]
+            .windows(2)
+            .position(|w| w[0] > w[1])
+            .map_or(valid, |i| i + 1);
+        TestLengthSolver {
+            total: counts.iter().map(|&c| u64::from(c)).sum(),
+            ln_miss,
+            counts,
+            valid,
+            sorted,
+        }
+    }
+
+    /// The minimal `N` detecting the easiest `d`-fraction of the expanded
+    /// universe with probability `≥ e`, or `None` beyond [`MAX_PATTERNS`]
+    /// or when a kept fault is undetectable (`p ≤ 0` or NaN). A class at
+    /// the `d` boundary is split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is not within `(0, 1]` or `e` not within `(0, 1)`.
+    pub fn solve(&self, d: f64, e: f64) -> Option<TestLength> {
+        assert!(d > 0.0 && d <= 1.0, "fraction d must be in (0, 1]");
+        assert!(e > 0.0 && e < 1.0, "confidence must be in (0, 1)");
+        let _span = protest_telemetry::span(Site::TestlenSolve);
+        let mut left = ((d * self.total as f64).round() as u64).min(self.total);
+        let (mut kept, mut last) = (0, 0);
+        while left > 0 {
+            last = u64::from(self.counts[kept]).min(left);
+            left -= last;
+            kept += 1;
+        }
+        if kept > self.valid {
+            // ln P_F(N) is −∞ or NaN at every N.
+            return None;
+        }
+        let mut counts = Cow::Borrowed(&self.counts[..kept]);
+        if kept > 0 && u64::from(counts[kept - 1]) != last {
+            // `last` < the class's count, so it fits.
+            counts.to_mut()[kept - 1] = last as u32;
+        }
+        search(&self.ln_miss[..kept], &counts, self.sorted.min(kept), e)
+    }
+}
+
+/// Records one probe that evaluated `terms` terms.
+fn count_work(terms: usize) {
+    WORK.with(|w| {
+        let (probes, total) = w.get();
+        w.set((probes + 1, total + terms as u64));
+    });
+}
+
+/// Sort order of the kept set: highest probability first, so the kept
+/// set is the easiest `d·100 %`. NaN goes before everything, so it is in
+/// every non-empty kept set and makes it unsolvable; without NaN this is
+/// the stable order of `b.partial_cmp(a)`.
+fn easiest_first(a: f64, b: f64) -> Ordering {
+    b.partial_cmp(&a)
+        .unwrap_or_else(|| b.is_nan().cmp(&a.is_nan()))
+}
+
+/// The exponential-then-binary search for the least `N` with
+/// `ln P_F(N) ≥ ln confidence` over the kept terms (`ln_miss`, `counts`),
+/// whose first `sorted` entries are non-decreasing.
+fn search(ln_miss: &[f64], counts: &[u32], sorted: usize, confidence: f64) -> Option<TestLength> {
+    if ln_miss.is_empty() {
+        return Some(TestLength {
+            patterns: 0,
+            confidence: 1.0,
+        });
+    }
+    // ln P_F(N), or any value below `floor` once the sum is known to end
+    // there. Every term is ≤ 0 and rounding is monotone, so the sum ends
+    // at or below each single term: when the hardest kept fault's term
+    // alone is below `target`, `reaches(n)` is false exactly as the full
+    // sum would say.
+    let last = ln_miss.len() - 1;
+    let ln_p = |n: u64, floor: f64| {
+        let n = n as f64;
+        let term = |c: f64, k: u32| f64::from(k) * (-(n * c).exp_m1()).ln();
+        let hardest = term(ln_miss[last], counts[last]);
+        if hardest < floor {
+            count_work(1);
+            return hardest;
+        }
+        // Every term before `start` has t < ZERO_TERM_T and adds exactly 0.0.
+        let start = ln_miss[..sorted].partition_point(|&c| n * c < ZERO_TERM_T);
+        count_work(1 + ln_miss.len() - start);
+        ln_miss[start..]
+            .iter()
+            .zip(&counts[start..])
+            .fold(0.0f64, |total, (&c, &k)| total + term(c, k))
+    };
+    let target = confidence.ln();
+    let reaches = |n: u64| ln_p(n, target) >= target;
+    // Exponential search for an upper bound.
+    let mut hi = 1u64;
+    while !reaches(hi) {
+        if hi >= MAX_PATTERNS {
+            return None;
+        }
+        hi = (hi * 2).min(MAX_PATTERNS);
+    }
+    // Binary search for the minimal N in (hi/2, hi]; reaches(lo) is false
+    // (or lo == 0).
+    let mut lo = hi / 2;
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(TestLength {
+        patterns: hi,
+        confidence: ln_p(hi, f64::NEG_INFINITY).exp(),
+    })
+}
+
 /// The weighted companion of [`required_test_length`]: minimal `N` with
 /// `Π_i (1 − (1 − p_i)^N)^{count_i} ≥ confidence`, or `None` beyond
 /// [`MAX_PATTERNS`].
@@ -99,44 +339,16 @@ pub fn required_test_length_weighted(
     counts: &[u32],
     confidence: f64,
 ) -> Option<TestLength> {
-    assert!(
-        confidence > 0.0 && confidence < 1.0,
-        "confidence must be in (0, 1)"
-    );
     assert_eq!(ps.len(), counts.len(), "one count per probability");
-    if counts.iter().all(|&c| c == 0) {
-        return Some(TestLength {
-            patterns: 0,
-            confidence: 1.0,
-        });
-    }
-    let target = confidence.ln();
-    let reaches = |n: u64| ln_set_detection_probability_weighted(ps, counts, n) >= target;
-    let mut hi = 1u64;
-    while !reaches(hi) {
-        if hi >= MAX_PATTERNS {
-            return None;
-        }
-        hi = (hi * 2).min(MAX_PATTERNS);
-    }
-    let mut lo = hi / 2;
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if reaches(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Some(TestLength {
-        patterns: hi,
-        confidence: ln_set_detection_probability_weighted(ps, counts, hi).exp(),
-    })
+    TestLengthSolver::in_order(ps.iter().copied().zip(counts.iter().copied()))
+        .solve(1.0, confidence)
 }
 
 /// The weighted `d`-fraction variant: drops the hardest `(1 − d)`-fraction
 /// of the *expanded* universe (counting multiplicities), splitting a class
 /// at the boundary when necessary, then computes the weighted test length.
+/// Solving several `(d, e)` rows over one vector? Build one
+/// [`TestLengthSolver::weighted`] instead.
 ///
 /// # Panics
 ///
@@ -149,30 +361,7 @@ pub fn required_test_length_fraction_weighted(
     e: f64,
 ) -> Option<TestLength> {
     assert!(d > 0.0 && d <= 1.0, "fraction d must be in (0, 1]");
-    assert_eq!(ps.len(), counts.len(), "one count per probability");
-    let total: u64 = counts.iter().map(|&c| c as u64).sum();
-    let mut keep = ((d * total as f64).round() as u64).min(total);
-    // Highest detection probability first; keep the easiest `keep` faults.
-    let mut order: Vec<usize> = (0..ps.len()).collect();
-    order.sort_by(|&a, &b| {
-        ps[b]
-            .partial_cmp(&ps[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut kept_ps = Vec::with_capacity(ps.len());
-    let mut kept_counts = Vec::with_capacity(counts.len());
-    for &i in &order {
-        if keep == 0 {
-            break;
-        }
-        let take = (counts[i] as u64).min(keep) as u32;
-        if take > 0 {
-            kept_ps.push(ps[i]);
-            kept_counts.push(take);
-            keep -= take as u64;
-        }
-    }
-    required_test_length_weighted(&kept_ps, &kept_counts, e)
+    TestLengthSolver::weighted(ps, counts).solve(d, e)
 }
 
 /// `ln Σ_f (1 − p_f)^N` — the log of the *expected number of undetected
@@ -222,62 +411,67 @@ pub fn ln_expected_undetected(ps: &[f64], n: u64) -> f64 {
 ///
 /// Panics if `confidence` is not within `(0, 1)`.
 pub fn required_test_length(ps: &[f64], confidence: f64) -> Option<TestLength> {
-    assert!(
-        confidence > 0.0 && confidence < 1.0,
-        "confidence must be in (0, 1)"
-    );
-    if ps.is_empty() {
-        return Some(TestLength {
-            patterns: 0,
-            confidence: 1.0,
-        });
-    }
-    let target = confidence.ln();
-    let reaches = |n: u64| ln_set_detection_probability(ps, n) >= target;
-    // Exponential search for an upper bound.
-    let mut hi = 1u64;
-    while !reaches(hi) {
-        if hi >= MAX_PATTERNS {
-            return None;
-        }
-        hi = (hi * 2).min(MAX_PATTERNS);
-    }
-    // Binary search for the minimal N in (hi/2, hi].
-    let mut lo = hi / 2; // reaches(lo) is false (or lo == 0)
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if reaches(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    // Handle N = 1 lower edge: hi==1 may itself be minimal.
-    Some(TestLength {
-        patterns: hi,
-        confidence: set_detection_probability(ps, hi),
-    })
+    TestLengthSolver::in_order(ps.iter().map(|&p| (p, 1))).solve(1.0, confidence)
 }
 
 /// The paper's `d`-fraction variant: `F_d` keeps the `d·100 %` faults with
 /// the *highest* detection probabilities (dropping the hardest tail), and
 /// `N` is the minimal length detecting all of `F_d` with probability ≥ `e`.
+/// Solving several `(d, e)` rows over one vector? Build one
+/// [`TestLengthSolver`] instead.
 ///
 /// # Panics
 ///
 /// Panics if `d` is not within `(0, 1]` or `e` not within `(0, 1)`.
 pub fn required_test_length_fraction(ps: &[f64], d: f64, e: f64) -> Option<TestLength> {
     assert!(d > 0.0 && d <= 1.0, "fraction d must be in (0, 1]");
-    let mut sorted: Vec<f64> = ps.to_vec();
-    // Highest first; the kept set is the easiest d·100 %.
-    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    let keep = ((d * ps.len() as f64).round() as usize).min(ps.len());
-    required_test_length(&sorted[..keep], e)
+    TestLengthSolver::new(ps).solve(d, e)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zero_term_cut_is_exact() {
+        // The skip is bit-identical only if every term at t ≤ ZERO_TERM_T
+        // is exactly +0.0 under this platform's expm1 and ln.
+        let term = |t: f64| (-t.exp_m1()).ln();
+        let mut t = ZERO_TERM_T;
+        while t > -800.0 {
+            assert_eq!(term(t).to_bits(), 0.0f64.to_bits(), "t = {t}");
+            assert_eq!(term(t.next_down()).to_bits(), 0.0f64.to_bits(), "t = {t}");
+            t -= 1.0 / 1024.0;
+        }
+        for t in [-1e3, -1e10, -1e300, f64::MIN, f64::NEG_INFINITY] {
+            assert_eq!(term(t).to_bits(), 0.0f64.to_bits(), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn the_cut_skips_almost_every_term() {
+        // 100k faults: easy ones spread over [0.05, 0.5], then a hard tail
+        // of ten faults at 1e-10 … 1e-9 that sets N ≈ 10¹⁰.
+        let n = 100_000;
+        let mut ps: Vec<f64> = (0..n - 10)
+            .map(|i| 0.05 + 0.45 * i as f64 / n as f64)
+            .collect();
+        ps.extend((1..=10).map(|k| k as f64 * 1e-10));
+        for (d, e) in [(1.0, 0.95), (1.0, 0.5), (0.99995, 0.98)] {
+            WORK.with(|w| w.set((0, 0)));
+            let got = required_test_length_fraction(&ps, d, e).unwrap();
+            let (probes, terms) = WORK.with(Cell::get);
+            // The search the cut replaced made the same probes and
+            // evaluated every kept term on each.
+            let kept = (d * n as f64).round() as u64;
+            assert!(got.patterns > 1_000_000_000, "N = {}", got.patterns);
+            assert!(
+                terms * 100 <= kept * probes,
+                "{terms} of {} terms",
+                kept * probes
+            );
+        }
+    }
 
     #[test]
     fn single_fault_closed_form() {

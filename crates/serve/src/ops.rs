@@ -9,7 +9,7 @@
 
 use protest_core::optimize::{HillClimber, OptimizeParams};
 use protest_core::staticanalysis;
-use protest_core::testlen::required_test_length_fraction;
+use protest_core::testlen::TestLengthSolver;
 use protest_core::tpi::{self, TpiParams};
 use protest_core::{
     AnalysisSession, Analyzer, AnalyzerParams, CancelToken, CheckParams, CoreError, FaultEstimate,
@@ -59,11 +59,12 @@ fn f64_arr(xs: &[f64]) -> Json {
 
 /// `testlen` reply rows: `{"d":..,"e":..,"patterns":N|null}` per target.
 fn testlen_rows(detect: &[f64], targets: &[(f64, f64)]) -> Json {
+    let solver = TestLengthSolver::new(detect);
     Json::Arr(
         targets
             .iter()
             .map(|&(d, e)| {
-                let n = required_test_length_fraction(detect, d, e);
+                let n = solver.solve(d, e);
                 Json::obj(vec![
                     ("d", Json::Num(d)),
                     ("e", Json::Num(e)),

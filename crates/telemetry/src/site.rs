@@ -34,6 +34,8 @@ pub enum Site {
     PartitionScatter,
     /// One hill-climbing optimization run.
     OptimizeClimb,
+    /// One test-length solve: sorting a fault set, or one `(d, e)` search.
+    TestlenSolve,
     /// One TPI candidate scoring/ranking round.
     TpiScore,
     /// One TPI commit round (ground-truth trials of ranked candidates).
@@ -67,7 +69,7 @@ pub enum Site {
 impl Site {
     /// Every registered site, in declaration order (aligned with the
     /// per-site aggregation arrays).
-    pub const ALL: [Site; 25] = [
+    pub const ALL: [Site; 26] = [
         Site::SessionBuild,
         Site::EstimatorSweep,
         Site::Propagate,
@@ -79,6 +81,7 @@ impl Site {
         Site::PartitionAnalyze,
         Site::PartitionScatter,
         Site::OptimizeClimb,
+        Site::TestlenSolve,
         Site::TpiScore,
         Site::TpiCommit,
         Site::CheckLint,
@@ -109,6 +112,7 @@ impl Site {
             Site::PartitionAnalyze => "partition.analyze",
             Site::PartitionScatter => "partition.scatter",
             Site::OptimizeClimb => "optimize.climb",
+            Site::TestlenSolve => "testlen.solve",
             Site::TpiScore => "tpi.score",
             Site::TpiCommit => "tpi.commit",
             Site::CheckLint => "check.lint",
@@ -146,5 +150,8 @@ mod tests {
         for (i, s) in Site::ALL.iter().enumerate() {
             assert_eq!(s.index(), i);
         }
+        // The last-declared variant closes the list: nothing was left out.
+        assert_eq!(Site::ServeSerialize.index() + 1, Site::ALL.len());
+        assert_eq!(Site::TestlenSolve.name(), "testlen.solve");
     }
 }

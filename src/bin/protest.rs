@@ -24,10 +24,11 @@
 //! `stats --probe` additionally opens an incremental analysis session,
 //! nudges one input probability and reports how much of the forward,
 //! reverse-observability and per-fault work the session reused — the
-//! work counters behind the optimizer's incremental hot loop — followed
-//! by the telemetry phase tree: a wall-clock breakdown of where the
-//! probe's time went (session build, estimator sweeps, observability
-//! refresh, fault re-estimation), aggregated across threads.
+//! work counters behind the optimizer's incremental hot loop — and the
+//! `--testlen` test lengths after the nudge, followed by the telemetry
+//! phase tree: a wall-clock breakdown of where the probe's time went
+//! (session build, estimator sweeps, observability refresh, fault
+//! re-estimation, test-length solve), aggregated across threads.
 //!
 //! `--trace FILE` (on any analysis subcommand) arms the zero-overhead
 //! tracing layer in `protest-telemetry` for the duration of the run and
@@ -60,8 +61,8 @@
 //!                   the machine's available parallelism; results are
 //!                   bit-identical at every thread count)
 //! --probe           with `stats`: report incremental-session reuse
-//!                   counters after a one-input mutation, plus the
-//!                   telemetry phase tree of the probe itself
+//!                   counters and test lengths after a one-input
+//!                   mutation, plus the telemetry phase tree of the probe
 //! --trace FILE      write a Chrome Trace Event JSON of the run's
 //!                   analysis phases (open in Perfetto)
 //! --json            check: emit the report as JSON
@@ -104,7 +105,7 @@ use std::process::ExitCode;
 use protest::prelude::*;
 use protest_core::optimize::{HillClimber, OptimizeParams};
 use protest_core::report::TestabilityReport;
-use protest_core::testlen::required_test_length_fraction;
+use protest_core::testlen::TestLengthSolver;
 use protest_core::tpi::{self, TpiParams};
 use protest_core::{AnalyzerParams, InputProbs};
 use protest_netlist::{parse_bench, parse_blif, parse_pdl, to_bench, CircuitStats};
@@ -469,6 +470,15 @@ fn cmd_stats(circuit: &Circuit, opts: &Options) -> Result<String, String> {
             warm.fault_reuses - cold.fault_reuses,
             analyzer.faults().len()
         );
+        let solver = TestLengthSolver::new(session.fault_detect_probs());
+        for &(d, e) in &opts.testlens {
+            let n = solver.solve(d, e).map(|t| t.patterns);
+            let _ = writeln!(
+                out,
+                "  test length:   N(d={d}, e={e}) = {}",
+                fmt_patterns(n)
+            );
+        }
     }
     Ok(out)
 }
@@ -541,8 +551,10 @@ fn cmd_optimize(circuit: &Circuit, opts: &Options) -> Result<String, String> {
     }
     // Re-use an incremental session for the post-optimization queries.
     let mut session = analyzer.session(&result.probs).map_err(|e| e.to_string())?;
+    let solver = TestLengthSolver::new(session.fault_detect_probs());
     for &(d, e) in &opts.testlens {
-        let n = required_test_length_fraction(session.fault_detect_probs(), d, e)
+        let n = solver
+            .solve(d, e)
             .map_or("unreachable".to_string(), |t| t.patterns.to_string());
         let _ = writeln!(out, "# N(d={d}, e={e}) = {n}");
     }
@@ -953,6 +965,8 @@ mod tests {
         assert!(out.contains("reused"), "{out}");
         assert!(out.contains("# phase breakdown"), "{out}");
         assert!(out.contains("session.build"), "{out}");
+        assert!(out.contains("test length:   N(d=1, e=0.95) = "), "{out}");
+        assert!(out.contains("testlen.solve"), "{out}");
         // Without the flag the probe stays off.
         let plain = run(&args(&["stats", p])).unwrap();
         assert!(!plain.contains("incremental probe"), "{plain}");
@@ -981,6 +995,7 @@ mod tests {
         assert!(text.starts_with("{\"traceEvents\":["), "{text}");
         assert!(text.contains("estimator.sweep"), "{text}");
         assert!(text.contains("faults.estimate"), "{text}");
+        assert!(text.contains("testlen.solve"), "{text}");
         drop(guard);
         // Untraced runs print identical reports (modulo the trace note).
         let untraced = run(&args(&["analyze", p, "--threads", "1"])).unwrap();
