@@ -314,9 +314,27 @@ impl<'c> Analyzer<'c> {
     /// partitioned one-shot path analyzes per-component estimators instead
     /// and never pays for the monolithic one.
     pub(crate) fn estimator(&self) -> &SignalProbEstimator {
-        self.inner.estimator.get_or_init(|| {
-            SignalProbEstimator::new(Aig::from_circuit(self.circuit()), &self.inner.params)
-        })
+        self.try_estimator(&CancelToken::never())
+            .expect("a disarmed token never cancels the build")
+    }
+
+    /// Like [`estimator`](Self::estimator), but the build polls `cancel`.
+    /// A cancelled build caches nothing, so a later call builds afresh.
+    /// Concurrent first calls may each build; the structures are
+    /// identical, the first one stored wins and the others are dropped.
+    pub(crate) fn try_estimator(
+        &self,
+        cancel: &CancelToken,
+    ) -> Result<&SignalProbEstimator, CoreError> {
+        if let Some(est) = self.inner.estimator.get() {
+            return Ok(est);
+        }
+        let est = SignalProbEstimator::try_new(
+            Aig::from_circuit(self.circuit()),
+            &self.inner.params,
+            cancel,
+        )?;
+        Ok(self.inner.estimator.get_or_init(|| est))
     }
 
     /// The execution context parallel passes run on (crate-internal).

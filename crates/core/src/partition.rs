@@ -327,7 +327,7 @@ pub(crate) fn run_partitioned(
         cancel.check()?;
         let sub = &plan.parts[pi as usize].sub;
         kits.push(ClassKit {
-            est: SignalProbEstimator::new(Aig::from_circuit(sub), params),
+            est: SignalProbEstimator::try_new(Aig::from_circuit(sub), params, cancel)?,
             engine: ObservabilityEngine::new(sub, params),
         });
     }

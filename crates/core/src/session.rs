@@ -278,7 +278,7 @@ impl<'c> AnalysisSession<'c> {
     ) -> Result<Self, CoreError> {
         let _t = protest_telemetry::span(protest_telemetry::Site::SessionBuild);
         probs.check_len(analyzer.circuit().num_inputs())?;
-        let est = analyzer.estimator();
+        let est = analyzer.try_estimator(&cancel)?;
         let aig_probs =
             est.full_estimate_exec_cancellable(probs.as_slice(), analyzer.exec(), &cancel)?;
         let obs_engine = Arc::clone(analyzer.obs_engine());

@@ -18,10 +18,36 @@
 //!    (the error term the paper derives via Bayes' formula), and the
 //!    conditional probabilities are obtained by re-propagating the bounded
 //!    fanin cone with the joining points pinned.
+//!
+//! # Construction
+//!
+//! [`SignalProbEstimator::new`] computes every graph search once, into one
+//! `AndCache` per AND node: the joining points, the kept cone `inner` (the
+//! joining points plus their descendants inside the union of the two
+//! bounded fanin cones, in topological order), each kept node's fanin
+//! positions within `inner`, and one descendant bitset over `inner` per
+//! joining point. A per-thread `ConeBuilder` answers every cone-membership
+//! and position query from epoch-stamped per-node arrays.
+//!
+//! The descendant bitsets come from one *transposed* pass instead of a walk
+//! over `inner` per joining point: in topological order, each position gets
+//! a `|joining|`-bit row, the OR of its kept fanins' rows plus its own bit
+//! if it is a joining point. Row `i` then lists the joining points whose
+//! descendant closure contains `inner[i]`, so the per-joining-point
+//! bitsets are that bit matrix transposed (64 × 64 bits at a time).
+//!
+//! A node's cache depends only on the AIG — its two bounded fanin cones and
+//! the fanouts inside them — and never on another node's cache: whether a
+//! cone node runs nested conditioning is read from that node's own cache
+//! where it is used, not copied at build time. So contiguous node chunks
+//! can be built on the executor's threads in any order, each into its own
+//! slice of the cache array, and the structures equal the serial build's
+//! field for field. Every pass over them is therefore bit-identical at
+//! any thread count.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
-use crate::aig::{Aig, AigLit, AigNodeId};
+use crate::aig::{Aig, AigFanouts, AigLit, AigNodeId};
 use crate::cancel::CancelToken;
 use crate::error::CoreError;
 use crate::exec::Exec;
@@ -47,15 +73,28 @@ struct AndCache {
     /// For each cone node, the positions of its two fanins within `inner`
     /// (`-1` when a fanin is outside the cone or the node is not an AND).
     fanin_ci: Vec<[i32; 2]>,
-    /// Whether [`SignalProbEstimator::cone_node_value`] runs nested
-    /// conditioning for this cone node (its own joining set is non-empty
-    /// and its own cone is small enough).
-    nested_ok: Vec<bool>,
     /// Per joining candidate: bitset over `inner` positions of the
     /// candidate's descendant closure (via direct fanin edges, self
     /// included) — exactly the nodes a walk pinning that candidate can
     /// touch, so re-propagation skips the rest of the cone outright.
-    desc: Vec<Vec<u64>>,
+    /// Flat, one row of `inner.len().div_ceil(64)` words per candidate;
+    /// read through [`AndCache::desc`].
+    desc: Vec<u64>,
+}
+
+impl AndCache {
+    /// Descendant bitset of joining candidate `j` (see the `desc` field).
+    fn desc(&self, j: usize) -> &[u64] {
+        let stride = self.inner.len().div_ceil(64);
+        &self.desc[j * stride..(j + 1) * stride]
+    }
+
+    /// Whether [`SignalProbEstimator::cone_node_value`] runs nested
+    /// conditioning for this node: its own joining set is non-empty and
+    /// its own cone is small enough.
+    fn nests(&self) -> bool {
+        !self.joining.is_empty() && self.inner.len() <= MAX_NESTED_CONE
+    }
 }
 
 /// The PROTEST estimator. Construction performs all graph searches; each
@@ -113,138 +152,30 @@ pub(crate) struct Ranks {
 
 impl SignalProbEstimator {
     /// Builds the estimator, computing joining points (`MAXLIST`-bounded)
-    /// for every AND node.
+    /// for every AND node, spread over `params.num_threads` threads.
     pub fn new(aig: Aig, params: &AnalyzerParams) -> Self {
-        let fanouts = aig.fanout_map();
-        let n = aig.len();
-        let mut cache = vec![AndCache::default(); n];
-        // Scratch bitsets for cone membership.
-        let mut in_a = vec![u32::MAX; n];
-        let mut in_b = vec![u32::MAX; n];
-        let mut epoch = 0u32;
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..n {
-            let id = AigNodeId::from_index(k);
-            let Some((la, lb)) = aig.and_fanins(id) else {
-                continue;
-            };
-            let (a, b) = (la.node(), lb.node());
-            epoch += 1;
-            let cone_a = bounded_cone(&aig, a, params.maxlist, &mut in_a, epoch);
-            let cone_b = bounded_cone(&aig, b, params.maxlist, &mut in_b, epoch);
-            // Joining points: in both cones, fanout ≥ 2, with distinct
-            // immediate successors toward a and b.
-            let mut joining = Vec::new();
-            for &x in cone_a.iter() {
-                if in_b[x.index()] != epoch {
-                    continue;
-                }
-                let succs = fanouts.of(x.index());
-                if succs.len() < 2 && !(!succs.is_empty() && (x == a || x == b)) {
-                    // A fanout of 1 can still join if x *is* a or b itself
-                    // (x feeds the other side through its single successor
-                    // while feeding the AND directly).
-                    if !(x == a || x == b) {
-                        continue;
-                    }
-                }
-                let mut to_a = x == a;
-                let mut to_b = x == b;
-                let mut branches_a = usize::from(x == a);
-                let mut branches_b = usize::from(x == b);
-                for &s in succs {
-                    let sa = s == a || (s.index() < in_a.len() && in_a[s.index()] == epoch);
-                    let sb = s == b || (s.index() < in_b.len() && in_b[s.index()] == epoch);
-                    if sa {
-                        to_a = true;
-                        branches_a += 1;
-                    }
-                    if sb {
-                        to_b = true;
-                        branches_b += 1;
-                    }
-                }
-                // Need two *different* routes: total distinct branch uses ≥ 2.
-                if to_a && to_b && branches_a + branches_b >= 2 {
-                    joining.push(x);
-                }
-            }
-            if joining.is_empty() {
-                continue;
-            }
-            // Union cone in ascending (= topological) order.
-            let mut cone: Vec<AigNodeId> = cone_a
-                .iter()
-                .copied()
-                .chain(cone_b.iter().copied().filter(|x| in_a[x.index()] != epoch))
-                .collect();
-            cone.sort_unstable();
-            joining.sort_unstable();
-            // Forward pass: keep only joining points and their descendants —
-            // the subgraph a pinned assignment can actually change.
-            let mut desc = vec![false; cone.len()];
-            let is_desc = |cone: &[AigNodeId], desc: &[bool], node: AigNodeId| {
-                cone.binary_search(&node).map(|i| desc[i]).unwrap_or(false)
-            };
-            let mut inner = Vec::new();
-            for ci in 0..cone.len() {
-                let x = cone[ci];
-                let d = joining.binary_search(&x).is_ok()
-                    || aig.and_fanins(x).is_some_and(|(fa, fb)| {
-                        is_desc(&cone, &desc, fa.node()) || is_desc(&cone, &desc, fb.node())
-                    });
-                if d {
-                    desc[ci] = true;
-                    inner.push(x);
-                }
-            }
-            // Cone-local structure: fanin positions, nested-conditioning
-            // flags and per-candidate descendant bitsets. All value-
-            // independent, computed once so the evaluation hot loops touch
-            // no graph searches at all.
-            let words = inner.len().div_ceil(64);
-            let mut fanin_ci = vec![[-1i32; 2]; inner.len()];
-            let mut nested_ok = vec![false; inner.len()];
-            for (ci, &x) in inner.iter().enumerate() {
-                if let Some((fa, fb)) = aig.and_fanins(x) {
-                    for (side, f) in [fa, fb].into_iter().enumerate() {
-                        if let Ok(i) = inner.binary_search(&f.node()) {
-                            fanin_ci[ci][side] = i as i32;
-                        }
-                    }
-                }
-                let xc = &cache[x.index()];
-                nested_ok[ci] = !xc.joining.is_empty() && xc.inner.len() <= MAX_NESTED_CONE;
-            }
-            let mut cand_desc = Vec::with_capacity(joining.len());
-            for &x in &joining {
-                let mut bits = vec![0u64; words];
-                for (ci, &node) in inner.iter().enumerate() {
-                    let d = node == x
-                        || fanin_ci[ci].iter().any(|&fc| {
-                            fc >= 0 && (bits[fc as usize >> 6] >> (fc as usize & 63)) & 1 == 1
-                        });
-                    if d {
-                        bits[ci >> 6] |= 1 << (ci & 63);
-                    }
-                }
-                cand_desc.push(bits);
-            }
-            cache[k] = AndCache {
-                joining,
-                inner,
-                fanin_ci,
-                nested_ok,
-                desc: cand_desc,
-            };
-        }
-        SignalProbEstimator {
+        Self::try_new(aig, params, &CancelToken::never())
+            .expect("a disarmed token never cancels the build")
+    }
+
+    /// Like [`new`](Self::new), but polls `cancel` once per chunk of a few
+    /// thousand nodes; a fired token abandons the build with
+    /// [`CoreError::Cancelled`]. Polls never change the built structures.
+    pub fn try_new(
+        aig: Aig,
+        params: &AnalyzerParams,
+        cancel: &CancelToken,
+    ) -> Result<Self, CoreError> {
+        let _t = protest_telemetry::span(protest_telemetry::Site::EstimatorBuild);
+        let exec = Exec::new(params.num_threads);
+        let cache = build_caches(&aig, params.maxlist, &exec, cancel)?;
+        Ok(SignalProbEstimator {
             aig,
             maxvers: params.maxvers,
             cache,
             ranks: OnceLock::new(),
             readers: OnceLock::new(),
-        }
+        })
     }
 
     /// The AIG this estimator analyzes.
@@ -492,7 +423,7 @@ impl SignalProbEstimator {
                 // Nested conditioning reads x's own cone (and its fanins)
                 // whenever `cone_node_value` decides to run it.
                 let xcache = &self.cache[x.index()];
-                if !xcache.joining.is_empty() && xcache.inner.len() <= MAX_NESTED_CONE {
+                if xcache.nests() {
                     for &y in &xcache.inner {
                         readset.push(y.index() as u32);
                         if let Some((ga, gb)) = self.aig.and_fanins(y) {
@@ -669,13 +600,13 @@ impl SignalProbEstimator {
                     m |= dep[fc as usize];
                 }
             }
-            if cache.nested_ok[ci] {
+            let xcache = &self.cache[x.index()];
+            if xcache.nests() {
                 let absorb = |m: &mut u32, node: AigNodeId, dep: &[u32]| {
                     if let Ok(i) = cache.inner.binary_search(&node) {
                         *m |= dep[i];
                     }
                 };
-                let xcache = &self.cache[x.index()];
                 for &y in &xcache.inner {
                     absorb(&mut m, y, &dep);
                     if let Some((ga, gb)) = self.aig.and_fanins(y) {
@@ -707,7 +638,7 @@ impl SignalProbEstimator {
         let x = cache.joining[j];
         let (outer, inner) = scratch.split();
         outer.begin();
-        for (wi, &word0) in cache.desc[j].iter().enumerate() {
+        for (wi, &word0) in cache.desc(j).iter().enumerate() {
             let mut word = word0;
             while word != 0 {
                 let ci = (wi << 6) | word.trailing_zeros() as usize;
@@ -820,7 +751,7 @@ impl SignalProbEstimator {
             .and_fanins(n)
             .expect("cone interior node is an AND");
         let ncache = &self.cache[n.index()];
-        if ncache.joining.is_empty() || ncache.inner.len() > MAX_NESTED_CONE {
+        if !ncache.nests() {
             let va = outer.lit_value(base, fa);
             let vb = outer.lit_value(base, fb);
             return va * vb;
@@ -834,8 +765,8 @@ impl SignalProbEstimator {
         // pins' descendant closure (everything else falls back to the outer
         // context / base values unchanged).
         let mut sublist: u64 = 0;
-        for d in &ncache.desc[..wn] {
-            sublist |= d[0];
+        for j in 0..wn {
+            sublist |= ncache.desc(j)[0];
         }
         let mut total = 0.0f64;
         let mut norm = 0.0f64;
@@ -1044,10 +975,9 @@ fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
 /// The cone indices (ascending) a walk pinning `w_idx` can touch: the
 /// union of the candidates' descendant bitsets.
 fn affected_sublist(cache: &AndCache, w_idx: &[u32]) -> Vec<u32> {
-    let words = cache.desc.first().map_or(0, Vec::len);
-    let mut mask = vec![0u64; words];
+    let mut mask = vec![0u64; cache.inner.len().div_ceil(64)];
     for &j in w_idx {
-        for (wi, &d) in cache.desc[j as usize].iter().enumerate() {
+        for (wi, &d) in cache.desc(j as usize).iter().enumerate() {
             mask[wi] |= d;
         }
     }
@@ -1086,38 +1016,312 @@ impl Memo {
     }
 }
 
-/// Collects the bounded backward cone of `root` (inclusive); membership is
-/// marked in `mark` with `epoch`.
+/// Builds every node's [`AndCache`]. A node's cache depends only on the
+/// AIG, never on another node's cache, so contiguous node chunks are built
+/// independently — serially, or pulled from a shared queue by one
+/// [`ConeBuilder`] per executor thread — and the result is the same.
+///
+/// `cancel` is polled once per chunk: [`CANCEL_CHECK_NODES`] nodes when
+/// serial, [`MIN_PAR_WIDE`] nodes (fine enough to balance uneven cone
+/// costs across threads) when parallel. AIGs narrower than one parallel
+/// chunk stay serial.
+fn build_caches(
+    aig: &Aig,
+    maxlist: usize,
+    exec: &Exec,
+    cancel: &CancelToken,
+) -> Result<Vec<AndCache>, CoreError> {
+    let fanouts = aig.fanout_map();
+    let mut cache = vec![AndCache::default(); aig.len()];
+    if !exec.parallel() || aig.len() < MIN_PAR_WIDE {
+        let mut builder = ConeBuilder::new(aig, &fanouts, maxlist);
+        for (c, chunk) in cache.chunks_mut(CANCEL_CHECK_NODES).enumerate() {
+            cancel.check()?;
+            builder.fill(c * CANCEL_CHECK_NODES, chunk);
+        }
+        return Ok(cache);
+    }
+    let chunks = Mutex::new(cache.chunks_mut(MIN_PAR_WIDE).enumerate());
+    exec.run(|| {
+        rayon::scope(|s| {
+            for _ in 0..exec.threads() {
+                s.spawn(|_| {
+                    let mut builder = ConeBuilder::new(aig, &fanouts, maxlist);
+                    loop {
+                        let next = chunks
+                            .lock()
+                            .expect("taking the next chunk cannot panic")
+                            .next();
+                        let Some((c, chunk)) = next else { break };
+                        if cancel.is_cancelled() {
+                            break;
+                        }
+                        builder.fill(c * MIN_PAR_WIDE, chunk);
+                    }
+                });
+            }
+        });
+    });
+    cancel.check()?;
+    Ok(cache)
+}
+
+/// One thread's scratch for building [`AndCache`]s node by node. Every
+/// membership and position query is an O(1) lookup in an epoch-stamped
+/// per-AIG-node array (one epoch per built node, so nothing is ever
+/// cleared), and the buffers are reused across nodes.
+struct ConeBuilder<'a> {
+    aig: &'a Aig,
+    fanouts: &'a AigFanouts,
+    maxlist: usize,
+    epoch: u32,
+    /// Membership in the bounded cone of the AND's first / second fanin.
+    in_a: Vec<u32>,
+    in_b: Vec<u32>,
+    /// `(stamp, position)`: membership in, and position within, the kept
+    /// cone `inner`.
+    pos: Vec<(u32, u32)>,
+    cone_a: Vec<AigNodeId>,
+    cone_b: Vec<AigNodeId>,
+    /// The kept cone and its fanin positions, copied out exactly sized.
+    inner: Vec<AigNodeId>,
+    fanin_ci: Vec<[i32; 2]>,
+    /// Transposed descendant rows: one `|joining|`-bit row per `inner`
+    /// position.
+    rows: Vec<u64>,
+}
+
+impl<'a> ConeBuilder<'a> {
+    fn new(aig: &'a Aig, fanouts: &'a AigFanouts, maxlist: usize) -> Self {
+        let n = aig.len();
+        ConeBuilder {
+            aig,
+            fanouts,
+            maxlist,
+            epoch: 0,
+            in_a: vec![0; n],
+            in_b: vec![0; n],
+            pos: vec![(0, 0); n],
+            cone_a: Vec::new(),
+            cone_b: Vec::new(),
+            inner: Vec::new(),
+            fanin_ci: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Builds the caches of nodes `first..first + out.len()` into `out`.
+    fn fill(&mut self, first: usize, out: &mut [AndCache]) {
+        for (k, slot) in (first..).zip(out) {
+            *slot = self.build(AigNodeId::from_index(k));
+        }
+    }
+
+    /// The cache of one node (empty unless it is an AND with joining
+    /// points).
+    fn build(&mut self, id: AigNodeId) -> AndCache {
+        let Some((la, lb)) = self.aig.and_fanins(id) else {
+            return AndCache::default();
+        };
+        let (a, b) = (la.node(), lb.node());
+        self.epoch += 1;
+        let epoch = self.epoch;
+        bounded_cone(
+            self.aig,
+            a,
+            self.maxlist,
+            &mut self.in_a,
+            epoch,
+            &mut self.cone_a,
+        );
+        bounded_cone(
+            self.aig,
+            b,
+            self.maxlist,
+            &mut self.in_b,
+            epoch,
+            &mut self.cone_b,
+        );
+        // Joining points: in both cones, fanout ≥ 2, with distinct
+        // immediate successors toward a and b. A fanout of 1 can still
+        // join if x *is* a or b itself (x feeds the other side through its
+        // single successor while feeding the AND directly).
+        let mut joining = Vec::new();
+        for &x in &self.cone_a {
+            if self.in_b[x.index()] != epoch {
+                continue;
+            }
+            let succs = self.fanouts.of(x.index());
+            if succs.len() < 2 && x != a && x != b {
+                continue;
+            }
+            let mut to_a = x == a;
+            let mut to_b = x == b;
+            let mut branches_a = usize::from(x == a);
+            let mut branches_b = usize::from(x == b);
+            for &s in succs {
+                if s == a || self.in_a[s.index()] == epoch {
+                    to_a = true;
+                    branches_a += 1;
+                }
+                if s == b || self.in_b[s.index()] == epoch {
+                    to_b = true;
+                    branches_b += 1;
+                }
+            }
+            // Need two *different* routes: total distinct branch uses ≥ 2.
+            if to_a && to_b && branches_a + branches_b >= 2 {
+                joining.push(x);
+            }
+        }
+        if joining.is_empty() {
+            return AndCache::default();
+        }
+        joining.sort_unstable();
+        // Keep only the joining points and their descendants inside the
+        // union cone — the subgraph a pinned assignment can actually
+        // change: a search along fanout edges that stay in either cone,
+        // then ascending (= topological) order.
+        let inner = &mut self.inner;
+        inner.clear();
+        inner.extend_from_slice(&joining);
+        for &x in &joining {
+            self.pos[x.index()] = (epoch, 0);
+        }
+        let mut next = 0;
+        while let Some(&x) = inner.get(next) {
+            next += 1;
+            for &s in self.fanouts.of(x.index()) {
+                let in_cone = self.in_a[s.index()] == epoch || self.in_b[s.index()] == epoch;
+                if in_cone && self.pos[s.index()].0 != epoch {
+                    self.pos[s.index()] = (epoch, 0);
+                    inner.push(s);
+                }
+            }
+        }
+        inner.sort_unstable();
+        for (ci, &x) in inner.iter().enumerate() {
+            self.pos[x.index()] = (epoch, ci as u32);
+        }
+        // Each kept node's fanin positions within `inner` (-1 outside it).
+        let fanin_ci = &mut self.fanin_ci;
+        fanin_ci.clear();
+        fanin_ci.extend(inner.iter().map(|&x| {
+            let mut fc = [-1i32; 2];
+            if let Some((fa, fb)) = self.aig.and_fanins(x) {
+                for (side, f) in [fa, fb].into_iter().enumerate() {
+                    let (stamp, p) = self.pos[f.node().index()];
+                    if stamp == epoch {
+                        fc[side] = p as i32;
+                    }
+                }
+            }
+            fc
+        }));
+        // Transposed descendant pass: row `ci` holds the candidates whose
+        // descendant closure contains `inner[ci]` — the OR of its kept
+        // fanins' rows, plus its own bit. `joining` and `inner` are both
+        // ascending, so the candidates appear in `inner` in index order.
+        let jw = joining.len().div_ceil(64);
+        self.rows.clear();
+        self.rows.resize(inner.len() * jw, 0);
+        let mut next_j = 0;
+        for (ci, fc) in fanin_ci.iter().enumerate() {
+            let (done, rest) = self.rows.split_at_mut(ci * jw);
+            let row = &mut rest[..jw];
+            for &f in fc.iter().filter(|&&f| f >= 0) {
+                let f = f as usize;
+                for (w, &d) in row.iter_mut().zip(&done[f * jw..(f + 1) * jw]) {
+                    *w |= d;
+                }
+            }
+            if joining.get(next_j) == Some(&inner[ci]) {
+                row[next_j >> 6] |= 1 << (next_j & 63);
+                next_j += 1;
+            }
+        }
+        // The per-candidate bitsets are the transpose of the row matrix,
+        // done 64 × 64 bits at a time.
+        let stride = inner.len().div_ceil(64);
+        let mut desc = vec![0u64; joining.len() * stride];
+        let mut block = [0u64; 64];
+        for bi in 0..stride {
+            let rows = &self.rows[bi * 64 * jw..(inner.len() * jw).min((bi + 1) * 64 * jw)];
+            for bj in 0..jw {
+                block.fill(0);
+                for (b, row) in block.iter_mut().zip(rows.chunks_exact(jw)) {
+                    *b = row[bj];
+                }
+                transpose64(&mut block);
+                let cands = (joining.len() - bj * 64).min(64);
+                for (c, &word) in block[..cands].iter().enumerate() {
+                    desc[(bj * 64 + c) * stride + bi] = word;
+                }
+            }
+        }
+        AndCache {
+            joining,
+            inner: inner.clone(),
+            fanin_ci: fanin_ci.clone(),
+            desc,
+        }
+    }
+}
+
+/// Transposes a 64 × 64 bit matrix in place (bit `c` of word `r` is
+/// entry `(r, c)`) by swapping ever smaller off-diagonal blocks.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
+}
+
+/// Collects the bounded backward cone of `root` (inclusive) into `cone`,
+/// breadth first; membership is marked in `mark` with `epoch`.
 fn bounded_cone(
     aig: &Aig,
     root: AigNodeId,
     max_depth: usize,
     mark: &mut [u32],
     epoch: u32,
-) -> Vec<AigNodeId> {
-    let mut cone = vec![root];
+    cone: &mut Vec<AigNodeId>,
+) {
+    cone.clear();
+    cone.push(root);
     mark[root.index()] = epoch;
-    let mut frontier = vec![root];
+    // `cone[lo..hi]` is the current frontier.
+    let mut lo = 0;
     for _ in 0..max_depth {
-        let mut next = Vec::new();
-        for id in frontier.drain(..) {
-            if let Some((a, b)) = aig.and_fanins(id) {
+        let hi = cone.len();
+        for i in lo..hi {
+            if let Some((a, b)) = aig.and_fanins(cone[i]) {
                 for f in [a.node(), b.node()] {
                     if mark[f.index()] != epoch {
                         mark[f.index()] = epoch;
                         cone.push(f);
-                        next.push(f);
                     }
                 }
             }
         }
-        if next.is_empty() {
+        if cone.len() == hi {
             break;
         }
-        frontier = next;
+        lo = hi;
     }
-    cone
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1317,6 +1521,21 @@ mod tests {
             let got = estimate_outputs(&ckt, &[p; 4], &AnalyzerParams::default());
             for (i, &g) in got.iter().enumerate() {
                 assert!((0.0..=1.0).contains(&g), "output {i} = {g} at p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let mut a = [0u64; 64];
+        for (r, w) in a.iter_mut().enumerate() {
+            *w = (r as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        let orig = a;
+        transpose64(&mut a);
+        for (r, &row) in orig.iter().enumerate() {
+            for (c, &col) in a.iter().enumerate() {
+                assert_eq!((col >> r) & 1, (row >> c) & 1, "({r}, {c})");
             }
         }
     }

@@ -14,6 +14,9 @@
 pub enum Site {
     /// Building an incremental analysis session (AIG, caches, first sync).
     SessionBuild,
+    /// Building the signal-probability estimator: every AND node's joining
+    /// points and bounded conditioning cone.
+    EstimatorBuild,
     /// One full signal-probability estimation sweep over the AIG ranks.
     EstimatorSweep,
     /// One dirty-worklist propagation drain inside a session.
@@ -69,8 +72,9 @@ pub enum Site {
 impl Site {
     /// Every registered site, in declaration order (aligned with the
     /// per-site aggregation arrays).
-    pub const ALL: [Site; 26] = [
+    pub const ALL: [Site; 27] = [
         Site::SessionBuild,
+        Site::EstimatorBuild,
         Site::EstimatorSweep,
         Site::Propagate,
         Site::ObsFull,
@@ -102,6 +106,7 @@ impl Site {
     pub fn name(self) -> &'static str {
         match self {
             Site::SessionBuild => "session.build",
+            Site::EstimatorBuild => "estimator.build",
             Site::EstimatorSweep => "estimator.sweep",
             Site::Propagate => "session.propagate",
             Site::ObsFull => "observe.full",
@@ -153,5 +158,6 @@ mod tests {
         // The last-declared variant closes the list: nothing was left out.
         assert_eq!(Site::ServeSerialize.index() + 1, Site::ALL.len());
         assert_eq!(Site::TestlenSolve.name(), "testlen.solve");
+        assert_eq!(Site::EstimatorBuild.name(), "estimator.build");
     }
 }

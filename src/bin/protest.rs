@@ -965,6 +965,7 @@ mod tests {
         assert!(out.contains("reused"), "{out}");
         assert!(out.contains("# phase breakdown"), "{out}");
         assert!(out.contains("session.build"), "{out}");
+        assert!(out.contains("estimator.build"), "{out}");
         assert!(out.contains("test length:   N(d=1, e=0.95) = "), "{out}");
         assert!(out.contains("testlen.solve"), "{out}");
         // Without the flag the probe stays off.
@@ -993,6 +994,7 @@ mod tests {
         let text = fs::read_to_string(&trace_path).unwrap();
         let guard = tempfile::TempGuard(trace_path);
         assert!(text.starts_with("{\"traceEvents\":["), "{text}");
+        assert!(text.contains("estimator.build"), "{text}");
         assert!(text.contains("estimator.sweep"), "{text}");
         assert!(text.contains("faults.estimate"), "{text}");
         assert!(text.contains("testlen.solve"), "{text}");

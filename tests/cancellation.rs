@@ -2,12 +2,13 @@
 //! tokens stop work with a typed error, disarmed tokens change nothing,
 //! and poisoned sessions are quarantined by the pool.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use protest_core::optimize::{HillClimber, OptimizeParams};
+use protest_core::sigprob::SignalProbEstimator;
 use protest_core::staticanalysis::{self, CheckParams};
 use protest_core::tpi::{self, TpiParams};
-use protest_core::{Analyzer, CancelToken, CoreError, InputProbs, SessionPool};
+use protest_core::{Aig, Analyzer, CancelToken, CoreError, InputProbs, SessionPool};
 use protest_netlist::CircuitBuilder;
 
 fn circuit() -> protest_netlist::Circuit {
@@ -200,4 +201,48 @@ fn clean_cancel_on_full_sweep_is_recoverable() {
     assert!(!session.is_poisoned(), "full-sweep cancel must stay clean");
     session.set_cancel(CancelToken::never());
     session.try_observabilities().expect("retry succeeds");
+}
+
+#[test]
+fn cancelled_estimator_build_is_fast_and_leaves_the_analyzer_reusable() {
+    // A coupled mesh runs the monolithic path, whose first step is the
+    // estimator build.
+    let ckt = protest_circuits::mesh_by_spec("multmesh:4x12x64").expect("valid mesh spec");
+    let probs = InputProbs::uniform(ckt.num_inputs());
+    let analyzer = Analyzer::new(&ckt);
+    let start = Instant::now();
+    std::hint::black_box(SignalProbEstimator::new(
+        Aig::from_circuit(&ckt),
+        analyzer.params(),
+    ));
+    let build = start.elapsed();
+
+    let start = Instant::now();
+    let err = analyzer
+        .run_with_cancel(&probs, fired())
+        .expect_err("run must abort");
+    let cancelled = start.elapsed();
+    assert!(matches!(err, CoreError::Cancelled), "{err:?}");
+    assert!(
+        cancelled * 4 < build,
+        "cancelled run took {cancelled:?}, uncancelled build {build:?}"
+    );
+    // A token firing mid-build abandons it as well.
+    let err = analyzer
+        .run_with_cancel(&probs, CancelToken::after(build / 4))
+        .expect_err("run must abort");
+    assert!(matches!(err, CoreError::Cancelled), "{err:?}");
+
+    // Neither cancelled build left anything behind: the next run builds
+    // afresh and matches a fresh analyzer bit for bit.
+    let retried = analyzer.run(&probs).expect("retry after cancelled builds");
+    let fresh = Analyzer::new(&ckt).run(&probs).expect("fresh run");
+    let bits = |a: &protest_core::CircuitAnalysis| -> Vec<u64> {
+        a.signal_probabilities()
+            .iter()
+            .chain(&a.detection_probabilities())
+            .map(|p| p.to_bits())
+            .collect()
+    };
+    assert_eq!(bits(&retried), bits(&fresh));
 }

@@ -140,6 +140,7 @@ fn chrome_trace_export_is_valid_and_balanced() {
     // The span tree must cover the estimator, observability, fault-loop
     // and partition phases (ISSUE acceptance).
     for want in [
+        "estimator.build",
         "estimator.sweep",
         "observe.full",
         "faults.estimate",
