@@ -313,9 +313,15 @@ impl<'c> Analyzer<'c> {
     /// drive its per-node kernel directly). Built lazily on first use: the
     /// partitioned one-shot path analyzes per-component estimators instead
     /// and never pays for the monolithic one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters are rejected by
+    /// [`SignalProbEstimator::try_new`]; the public entry points reach
+    /// this only after a [`try_estimator`](Self::try_estimator) succeeded.
     pub(crate) fn estimator(&self) -> &SignalProbEstimator {
         self.try_estimator(&CancelToken::never())
-            .expect("a disarmed token never cancels the build")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`estimator`](Self::estimator), but the build polls `cancel`.

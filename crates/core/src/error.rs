@@ -28,6 +28,14 @@ pub enum CoreError {
         /// The budget that was exceeded.
         limit: usize,
     },
+    /// [`AnalyzerParams::maxvers`](crate::AnalyzerParams::maxvers) is
+    /// above [`MAXVERS_LIMIT`](crate::MAXVERS_LIMIT).
+    MaxversTooLarge {
+        /// The requested `maxvers`.
+        maxvers: usize,
+        /// The largest accepted value.
+        limit: usize,
+    },
     /// The analysis was cancelled through a
     /// [`CancelToken`](crate::CancelToken) before completing.
     Cancelled,
@@ -49,6 +57,9 @@ impl fmt::Display for CoreError {
             ),
             CoreError::BddOverflow { limit } => {
                 write!(f, "BDD node budget of {limit} exceeded")
+            }
+            CoreError::MaxversTooLarge { maxvers, limit } => {
+                write!(f, "maxvers {maxvers} exceeds the limit of {limit}")
             }
             CoreError::Cancelled => write!(f, "analysis cancelled"),
         }

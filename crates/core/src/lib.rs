@@ -126,6 +126,7 @@ pub use cancel::CancelToken;
 pub use error::CoreError;
 pub use params::{
     AnalyzerParams, FaultCollapse, InputProbs, ObservabilityModel, PinSensitivityModel,
+    MAXVERS_LIMIT,
 };
 pub use pool::{PoolStats, PooledSession, SessionPool};
 pub use session::{AnalysisSession, SessionStats};

@@ -53,11 +53,22 @@ pub enum FaultCollapse {
     Dominance,
 }
 
+/// The largest accepted [`AnalyzerParams::maxvers`]. The estimator gives
+/// each selected joining point one bit of a `u32` assignment mask and
+/// keeps `2^|W|` values per cone row, so a node conditioned on `|W|` in the
+/// 20s would need gigabytes; past 16 the enumeration stops being a cheap
+/// refinement anyway.
+/// [`try_new`](crate::sigprob::SignalProbEstimator::try_new) rejects
+/// larger values with
+/// [`CoreError::MaxversTooLarge`](crate::CoreError::MaxversTooLarge).
+pub const MAXVERS_LIMIT: usize = 16;
+
 /// Tuning parameters of the analysis (paper Sec. 2 and 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyzerParams {
     /// `MAXVERS`: maximal number of joining points conditioned on per AND
-    /// node (the estimator enumerates `2^maxvers` cases, so keep it small).
+    /// node (the estimator enumerates `2^maxvers` cases, so keep it small;
+    /// at most [`MAXVERS_LIMIT`]).
     pub maxvers: usize,
     /// `MAXLIST`: maximal path length (in edges) of the backward search for
     /// joining points and of conditional re-propagation.

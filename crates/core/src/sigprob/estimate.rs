@@ -44,14 +44,56 @@
 //! slice of the cache array, and the structures equal the serial build's
 //! field for field. Every pass over them is therefore bit-identical at
 //! any thread count.
+//!
+//! # Sweep
+//!
+//! A conditioned AND first *scores* each joining point with one walk over
+//! that point's descendant set, the point pinned to 1. The walk works on
+//! cone positions: every position holds its base estimate, a walk
+//! overwrites only the set (each non-root member has a fanin in it) and
+//! restores it afterwards, so no fanin read tests membership. Only
+//! candidate sets of at most [`MAX_NESTED_SCORING`] run nested
+//! conditioning while scoring; they keep their values in an AIG-indexed
+//! scratch, where the nested kernel reads them.
+//!
+//! The selected `W` then gets a *plan*, rebuilt for every evaluation into
+//! buffers the scratch reuses. (Keeping one plan per node in a session's
+//! scratch would save only the rebuild, about a tenth of the kernel's
+//! time, but costs megabytes per scratch: 5.4 MB on `div8x8`.) The plan
+//! has one row per position of the pins' descendant union, in topological
+//! order. Each row records its pin bit, where each operand comes from (an
+//! earlier row or a base literal), and how its pre-pin value is computed:
+//! the base estimate, the product rule, or nested conditioning. For a
+//! nested row it also holds the nested kernel's outer reads, each mapped
+//! to a row or a base node, and the mask of the pins those rows depend on.
+//!
+//! The sweep fills the rows assignment-major: row `r` holds the node's
+//! value under each of the `2^|W|` assignments `v`, so the cone is visited
+//! once for all of them. A product row is a branch-free loop
+//! `row[v] = A[v] · B[v]`. A pinned row multiplies `weight[v]` by `p̂` or
+//! `1 − p̂` in pin order and then holds the pin's bit. An assignment whose
+//! weight drops to `≤ 0` is dead from that row on. A nested row is
+//! evaluated only for live assignments, and only once per projection
+//! `v & mask`, its value copied to the other assignments with that
+//! projection. The mask holds only pins that the mapped reads depend on,
+//! so the sweep never runs more nested evaluations than a walk per
+//! assignment with a memo keyed by the same projection.
+//!
+//! The result is `to_bits`-identical to a walk per assignment. Every value
+//! is computed by the same floating-point operations on the same
+//! operands. Weights multiply in the same pin order. A projection's value
+//! depends only on the pins in its mask, so any representative yields the
+//! same bits. The final sum runs over ascending `v`, skipping dead
+//! assignments, as the walks did.
 
+use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
 
 use crate::aig::{Aig, AigFanouts, AigLit, AigNodeId};
 use crate::cancel::CancelToken;
 use crate::error::CoreError;
 use crate::exec::Exec;
-use crate::params::AnalyzerParams;
+use crate::params::{AnalyzerParams, MAXVERS_LIMIT};
 
 /// How often the serial full pass polls its cancellation token: one poll
 /// per this many AIG nodes keeps the overhead unmeasurable while still
@@ -89,9 +131,9 @@ impl AndCache {
         &self.desc[j * stride..(j + 1) * stride]
     }
 
-    /// Whether [`SignalProbEstimator::cone_node_value`] runs nested
-    /// conditioning for this node: its own joining set is non-empty and
-    /// its own cone is small enough.
+    /// Whether this node, inside another node's conditioning cone, runs
+    /// nested conditioning ([`Nested`]): its own joining set is non-empty
+    /// and its own cone is small enough.
     fn nests(&self) -> bool {
         !self.joining.is_empty() && self.inner.len() <= MAX_NESTED_CONE
     }
@@ -153,19 +195,34 @@ pub(crate) struct Ranks {
 impl SignalProbEstimator {
     /// Builds the estimator, computing joining points (`MAXLIST`-bounded)
     /// for every AND node, spread over `params.num_threads` threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.maxvers` exceeds [`MAXVERS_LIMIT`];
+    /// [`try_new`](Self::try_new) returns that as an error instead.
     pub fn new(aig: Aig, params: &AnalyzerParams) -> Self {
-        Self::try_new(aig, params, &CancelToken::never())
-            .expect("a disarmed token never cancels the build")
+        Self::try_new(aig, params, &CancelToken::never()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`new`](Self::new), but polls `cancel` once per chunk of a few
     /// thousand nodes; a fired token abandons the build with
     /// [`CoreError::Cancelled`]. Polls never change the built structures.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::MaxversTooLarge`] if `params.maxvers` exceeds
+    /// [`MAXVERS_LIMIT`], [`CoreError::Cancelled`] if `cancel` fires.
     pub fn try_new(
         aig: Aig,
         params: &AnalyzerParams,
         cancel: &CancelToken,
     ) -> Result<Self, CoreError> {
+        if params.maxvers > MAXVERS_LIMIT {
+            return Err(CoreError::MaxversTooLarge {
+                maxvers: params.maxvers,
+                limit: MAXVERS_LIMIT,
+            });
+        }
         let _t = protest_telemetry::span(protest_telemetry::Site::EstimatorBuild);
         let exec = Exec::new(params.num_threads);
         let cache = build_caches(&aig, params.maxlist, &exec, cancel)?;
@@ -194,25 +251,8 @@ impl SignalProbEstimator {
     ///
     /// Panics if `input_probs.len() != aig.num_inputs()`.
     pub fn full_estimate(&self, input_probs: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            input_probs.len(),
-            self.aig.num_inputs(),
-            "one probability per primary input"
-        );
-        let n = self.aig.len();
-        let mut probs = vec![0.0f64; n];
-        // Node 0 is constant TRUE.
-        probs[0] = 1.0;
-        let mut scratch = self.new_scratch();
-        for k in 1..n {
-            let id = AigNodeId::from_index(k);
-            if let Some(pos) = self.aig.input_position(id) {
-                probs[k] = input_probs[pos];
-                continue;
-            }
-            probs[k] = self.and_node_value(&probs, id, &mut scratch);
-        }
-        probs
+        self.full_estimate_exec_cancellable(input_probs, &Exec::new(1), &CancelToken::never())
+            .expect("a disarmed token never cancels the pass")
     }
 
     /// Like [`full_estimate`](Self::full_estimate) but spread over the
@@ -233,41 +273,30 @@ impl SignalProbEstimator {
         cancel: &CancelToken,
     ) -> Result<Vec<f64>, CoreError> {
         let _t = protest_telemetry::span(protest_telemetry::Site::EstimatorSweep);
+        assert_eq!(
+            input_probs.len(),
+            self.aig.num_inputs(),
+            "one probability per primary input"
+        );
+        cancel.check()?;
+        let n = self.aig.len();
+        let mut probs = vec![0.0f64; n];
+        // Node 0 is constant TRUE.
+        probs[0] = 1.0;
         if !exec.parallel() {
-            if !cancel.is_armed() {
-                return Ok(self.full_estimate(input_probs));
-            }
-            assert_eq!(
-                input_probs.len(),
-                self.aig.num_inputs(),
-                "one probability per primary input"
-            );
-            cancel.check()?;
-            let n = self.aig.len();
-            let mut probs = vec![0.0f64; n];
-            probs[0] = 1.0;
             let mut scratch = self.new_scratch();
             for k in 1..n {
                 if k % CANCEL_CHECK_NODES == 0 {
                     cancel.check()?;
                 }
                 let id = AigNodeId::from_index(k);
-                if let Some(pos) = self.aig.input_position(id) {
-                    probs[k] = input_probs[pos];
-                    continue;
-                }
-                probs[k] = self.and_node_value(&probs, id, &mut scratch);
+                probs[k] = match self.aig.input_position(id) {
+                    Some(pos) => input_probs[pos],
+                    None => self.and_node_value(&probs, id, &mut scratch),
+                };
             }
             return Ok(probs);
         }
-        assert_eq!(
-            input_probs.len(),
-            self.aig.num_inputs(),
-            "one probability per primary input"
-        );
-        let n = self.aig.len();
-        let mut probs = vec![0.0f64; n];
-        probs[0] = 1.0;
         for (pos, &p) in input_probs.iter().enumerate() {
             probs[self.aig.input_node(pos).index()] = p;
         }
@@ -378,14 +407,14 @@ impl SignalProbEstimator {
         if cache.joining.is_empty() {
             return lit_prob(probs, la) * lit_prob(probs, lb);
         }
-        self.conditioned(probs, id.index(), la, lb, cache, scratch)
+        self.conditioned(probs, la, lb, cache, scratch)
     }
 
     /// The read-dependency fan-out map: `readers[x]` lists every AND node
     /// whose [`and_node_value`](Self::and_node_value) *reads* the base
     /// probability of `x` — its direct fanins, its conditioning cone
     /// (`inner`), the fanins of the cone nodes, and the nested cones that
-    /// [`cone_node_value`](Self::cone_node_value) may consult. Incremental
+    /// [`Nested::eval`] may consult. Incremental
     /// re-propagation is sound exactly when a node is re-evaluated whenever
     /// any member of its read set changes value, so this map (not the plain
     /// structural fanout map) drives the session's dirty propagation.
@@ -421,7 +450,7 @@ impl SignalProbEstimator {
                     readset.push(fb.node().index() as u32);
                 }
                 // Nested conditioning reads x's own cone (and its fanins)
-                // whenever `cone_node_value` decides to run it.
+                // whenever it nests.
                 let xcache = &self.cache[x.index()];
                 if xcache.nests() {
                     for &y in &xcache.inner {
@@ -460,18 +489,11 @@ impl SignalProbEstimator {
         ReaderMap { off, dat }
     }
 
-    /// Case-4 computation: select `W`, enumerate its assignments.
-    ///
-    /// `k` is the node's own index; the scratch keeps a per-node cache of
-    /// the `W`-dependent (but value-independent) structures — pin-dependency
-    /// masks and the affected sublist — so a persistent scratch (an
-    /// [`crate::AnalysisSession`]) skips rebuilding them whenever the
-    /// selected conditioning set is unchanged since the node's last
-    /// evaluation.
+    /// Case-4 computation: score the joining points, select `W`, and
+    /// combine its `2^|W|` assignments in one sweep over the plan for `W`.
     fn conditioned(
         &self,
         base: &[f64],
-        k: usize,
         la: AigLit,
         lb: AigLit,
         cache: &AndCache,
@@ -483,13 +505,20 @@ impl SignalProbEstimator {
         // conditioning during scoring sharpens the ranking, but its cost
         // multiplies with the candidate count — restrict it to small sets.
         let nest_scores = cache.joining.len() <= MAX_NESTED_SCORING;
+        if !nest_scores {
+            scratch.load_cone(&self.aig, cache, base, [la, lb]);
+        }
         let mut scored: Vec<(f64, u32)> = Vec::with_capacity(cache.joining.len());
         for (j, &x) in cache.joining.iter().enumerate() {
             let px = base[x.index()];
             if px <= f64::EPSILON || px >= 1.0 - f64::EPSILON {
                 continue; // deterministic node carries no correlation
             }
-            let (pa1, pb1) = self.repropagate_scoring(base, cache, j, nest_scores, la, lb, scratch);
+            let (pa1, pb1) = if nest_scores {
+                self.score_nested(base, cache, j, la, lb, &mut scratch.outer)
+            } else {
+                score_plain(cache, j, scratch)
+            };
             let cov_a = (pa1 - pa) * px;
             let cov_b = (pb1 - pb) * px;
             let score = (cov_a * cov_b).abs() / (px * (1.0 - px));
@@ -515,307 +544,438 @@ impl SignalProbEstimator {
         // the candidate indices sorts the nodes).
         w_idx.sort_unstable();
 
-        // W-dependent, value-independent structures: pin-dependency masks
-        // and the affected sublist (union of the pins' descendant bitsets —
-        // the only cone nodes an enumeration walk can touch). Rebuilt only
-        // when the selected W differs from this node's last evaluation with
-        // this scratch.
-        if scratch.cond[k].w != w_idx {
-            let dep = self.build_dep_masks(cache, &w_idx);
-            let affected = affected_sublist(cache, &w_idx);
-            let cc = &mut scratch.cond[k];
-            cc.w = w_idx.clone();
-            cc.dep = dep;
-            cc.affected = affected;
-        }
-        scratch.memo_begin(cache.inner.len() << w_idx.len());
-        let Scratch2 {
-            outer,
-            inner,
-            memo,
-            cond,
-        } = scratch;
-        let cc = &cond[k];
-
-        // Enumerate the 2^|W| assignments (formula (2)). `P(A_v)` is the
-        // *joint* probability of the assignment, accumulated by the chain
-        // rule inside the walk — joining points are often correlated
-        // with each other (one may even imply another), so the product of
-        // marginals would put weight on impossible assignments.
-        let mut total = 0.0f64;
-        let mut norm = 0.0f64;
-        let mut pinned: Vec<(AigNodeId, f64)> = w_idx
-            .iter()
-            .map(|&j| (cache.joining[j as usize], 0.0))
-            .collect();
-        for v in 0..(1usize << w_idx.len()) {
-            for (i, _) in w_idx.iter().enumerate() {
-                pinned[i].1 = f64::from((v >> i) & 1 == 1);
-            }
-            let (pa_v, pb_v, weight) = self.repropagate_memo(
-                base,
-                cache,
-                &cc.affected,
-                &pinned,
-                la,
-                lb,
-                outer,
-                inner,
-                memo,
-                v,
-                &cc.dep,
-                w_idx.len() as u32,
-            );
-            if weight <= 0.0 {
-                continue;
-            }
-            total += weight * pa_v * pb_v;
-            norm += weight;
-        }
-        if norm <= 0.0 {
-            return (pa * pb).clamp(0.0, 1.0);
-        }
-        (total / norm).clamp(0.0, 1.0)
+        let mut plan = std::mem::take(&mut scratch.plan);
+        self.build_plan(cache, &w_idx, [la, lb], &mut plan, scratch);
+        let p = self.sweep(base, &plan, &mut scratch.sweep);
+        scratch.plan = plan;
+        p.unwrap_or_else(|| (pa * pb).clamp(0.0, 1.0))
     }
 
-    /// Pin-dependency masks: for each cone node, which pins can reach
-    /// anything its evaluation *reads*. A node's value depends only on
-    /// the assignment projected onto those pins, so values can be
-    /// memoized across the 2^|W| enumeration walks. Direct fanins
-    /// alone are not enough: a node evaluated with nested conditioning
-    /// reads the outer values of its whole nested cone (and of that
-    /// cone's fanins), and the fanin path from such a read back to the
-    /// node can leave this bounded cone — the mask must be the union
-    /// over every read site, not just the fanin chain.
-    fn build_dep_masks(&self, cache: &AndCache, w_idx: &[u32]) -> Vec<u32> {
-        let mut dep: Vec<u32> = vec![0; cache.inner.len()];
-        for ci in 0..cache.inner.len() {
-            let x = cache.inner[ci];
-            let mut m = match w_idx.iter().position(|&j| cache.joining[j as usize] == x) {
-                Some(i) => 1u32 << i,
-                None => 0,
-            };
-            for &fc in &cache.fanin_ci[ci] {
-                if fc >= 0 {
-                    m |= dep[fc as usize];
-                }
-            }
-            let xcache = &self.cache[x.index()];
-            if xcache.nests() {
-                let absorb = |m: &mut u32, node: AigNodeId, dep: &[u32]| {
-                    if let Ok(i) = cache.inner.binary_search(&node) {
-                        *m |= dep[i];
-                    }
-                };
-                for &y in &xcache.inner {
-                    absorb(&mut m, y, &dep);
-                    if let Some((ga, gb)) = self.aig.and_fanins(y) {
-                        absorb(&mut m, ga.node(), &dep);
-                        absorb(&mut m, gb.node(), &dep);
-                    }
-                }
-            }
-            dep[ci] = m;
-        }
-        dep
-    }
-
-    /// Scoring walk: re-propagates the cone with joining candidate `j`
-    /// pinned to 1 and returns the conditional probabilities of `la` and
-    /// `lb`. Only the candidate's descendant sublist is visited — the rest
-    /// of the cone provably keeps its base estimate.
-    #[allow(clippy::too_many_arguments)]
-    fn repropagate_scoring(
+    /// Scoring walk with nested conditioning: re-propagates the cone with
+    /// joining candidate `j` pinned to 1 and returns the conditional
+    /// probabilities of `la` and `lb`. Only the candidate's descendant
+    /// sublist is visited — the rest of the cone provably keeps its base
+    /// estimate — and values live in the AIG-indexed `outer`, where the
+    /// nested kernel reads them.
+    fn score_nested(
         &self,
         base: &[f64],
         cache: &AndCache,
         j: usize,
-        nest: bool,
-        la: AigLit,
-        lb: AigLit,
-        scratch: &mut Scratch2,
-    ) -> (f64, f64) {
-        let x = cache.joining[j];
-        let (outer, inner) = scratch.split();
-        outer.begin();
-        for (wi, &word0) in cache.desc(j).iter().enumerate() {
-            let mut word = word0;
-            while word != 0 {
-                let ci = (wi << 6) | word.trailing_zeros() as usize;
-                word &= word - 1;
-                let n = cache.inner[ci];
-                // Conditional estimate of `n` under the pin. Nodes
-                // unaffected by it keep their base estimate: the base
-                // values already include bounded conditioning, so
-                // recomputing them with the plain product rule would
-                // *degrade* them.
-                let affected = match self.aig.and_fanins(n) {
-                    Some((fa, fb)) => outer.is_set(fa.node()) || outer.is_set(fb.node()),
-                    None => false,
-                };
-                let phat = if !affected {
-                    base[n.index()]
-                } else if nest {
-                    self.cone_node_value(base, n, outer, inner)
-                } else {
-                    let (fa, fb) = self.aig.and_fanins(n).expect("affected implies AND");
-                    outer.lit_value(base, fa) * outer.lit_value(base, fb)
-                };
-                if n == x {
-                    outer.set(n, 1.0);
-                } else if affected {
-                    outer.set(n, phat);
-                }
-            }
-        }
-        (outer.lit_value(base, la), outer.lit_value(base, lb))
-    }
-
-    /// Enumeration walk with nested conditioning always on and a memo
-    /// across walks: a cone node's value depends only on the current
-    /// assignment `v` projected onto the pins that reach it (`dep`), so
-    /// each distinct projection is computed once. Visits only `affected`
-    /// (the union of the pins' descendant sublists, ascending).
-    #[allow(clippy::too_many_arguments)]
-    fn repropagate_memo(
-        &self,
-        base: &[f64],
-        cache: &AndCache,
-        affected: &[u32],
-        pinned: &[(AigNodeId, f64)],
         la: AigLit,
         lb: AigLit,
         outer: &mut Scratch,
-        inner: &mut Scratch,
-        memo: &mut Memo,
-        v: usize,
-        dep: &[u32],
-        bits: u32,
-    ) -> (f64, f64, f64) {
+    ) -> (f64, f64) {
         outer.begin();
-        let mut weight = 1.0f64;
-        for &ci in affected {
-            let ci = ci as usize;
+        let mut root = true;
+        for_each_set_bit(cache.desc(j), |ci| {
             let n = cache.inner[ci];
-            let is_affected = match self.aig.and_fanins(n) {
-                Some((fa, fb)) => outer.is_set(fa.node()) || outer.is_set(fb.node()),
-                None => false,
-            };
-            let pin_idx = pinned.iter().position(|&(x, _)| x == n);
-            let phat = if !is_affected {
-                base[n.index()]
-            } else {
-                // A pinned node's pre-pin estimate cannot depend on its own
-                // pin bit — mask it out so both branches share the entry.
-                let mask = dep[ci] & !pin_idx.map_or(0, |i| 1u32 << i);
-                let key = (ci << bits) | (v & mask as usize);
-                match memo.lookup(key) {
-                    Some(cached) => cached,
-                    None => {
-                        let computed = self.cone_node_value(base, n, outer, inner);
-                        memo.store(key, computed);
-                        computed
-                    }
-                }
-            };
-            if let Some(&(_, pv)) = pin_idx.map(|i| &pinned[i]) {
-                weight *= if pv > 0.5 { phat } else { 1.0 - phat };
-                if weight <= 0.0 {
-                    return (0.0, 0.0, 0.0); // impossible assignment
-                }
-                outer.set(n, pv);
-            } else if is_affected {
-                outer.set(n, phat);
+            // The candidate itself is pinned. Every other position of its
+            // descendant set has a fanin in the set, so it is re-derived
+            // under the pin; nodes outside the set keep their base
+            // estimate (which already includes bounded conditioning).
+            if std::mem::take(&mut root) {
+                outer.set(n, 1.0);
+                return;
             }
-        }
-        (outer.lit_value(base, la), outer.lit_value(base, lb), weight)
+            let phat = if self.cache[n.index()].nests() {
+                let outer = &*outer;
+                Nested::new(self, n).eval(|slot| outer.get(base, self.read_node(n, slot)))
+            } else {
+                let (fa, fb) = self.aig.and_fanins(n).expect("affected implies AND");
+                outer.lit_value(base, fa) * outer.lit_value(base, fb)
+            };
+            outer.set(n, phat);
+        });
+        (outer.lit_value(base, la), outer.lit_value(base, lb))
     }
 
-    /// Value of an affected cone AND node under the current outer context.
-    ///
-    /// A node with its own joining points carries reconvergence *inside*
-    /// the cone that the plain product rule would destroy (its base value
-    /// handled it by conditioning, but the base value is no longer valid
-    /// once upstream pins move its fanins). One level of nested
-    /// conditioning re-derives the value: enumerate the node's own joining
-    /// set in the outer context and combine with chain-rule weights.
-    fn cone_node_value(
+    /// Builds the sweep plan for conditioning on `w_idx` into `plan`: one
+    /// row per position of the pins' descendant union (ascending), each
+    /// with its pin bit, its operation and where its operands come from,
+    /// plus the pin-dependency mask that keys nested rows. All of it
+    /// depends on `W` only, never on probabilities.
+    fn build_plan(
         &self,
-        base: &[f64],
-        n: AigNodeId,
-        outer: &Scratch,
-        inner: &mut Scratch,
-    ) -> f64 {
-        let (fa, fb) = self
-            .aig
-            .and_fanins(n)
-            .expect("cone interior node is an AND");
-        let ncache = &self.cache[n.index()];
-        if !ncache.nests() {
-            let va = outer.lit_value(base, fa);
-            let vb = outer.lit_value(base, fb);
-            return va * vb;
+        cache: &AndCache,
+        w_idx: &[u32],
+        ends: [AigLit; 2],
+        plan: &mut Plan,
+        scratch: &mut Scratch2,
+    ) {
+        plan.pins = w_idx.len();
+        plan.rows.clear();
+        plan.reads.clear();
+        let at = &mut scratch.row_of;
+        let dep = &mut scratch.dep;
+        at.begin();
+        dep.clear();
+        // A pin's position is the lowest bit of its descendant set, and
+        // ascending candidates have ascending positions.
+        let pins: Vec<usize> = w_idx
+            .iter()
+            .map(|&j| first_set_bit(cache.desc(j as usize)))
+            .collect();
+        let mut next_pin = 0;
+        for_each_set_bit(&affected_mask(cache, w_idx), |ci| {
+            let n = cache.inner[ci];
+            let pin = (pins.get(next_pin) == Some(&ci)).then(|| {
+                next_pin += 1;
+                next_pin as u32 - 1
+            });
+            let own = pin.map_or(0, |i| 1u32 << i);
+            let mut d = own;
+            let op = match self.aig.and_fanins(n) {
+                Some((fa, fb)) if at.has(fa.node()) || at.has(fb.node()) => {
+                    if self.cache[n.index()].nests() {
+                        let first = plan.reads.len();
+                        let len = 3 * self.cache[n.index()].inner.len() + 2;
+                        plan.reads.resize(first + len, Src::Base(0));
+                        self.for_each_nested_read(n, |slot, x| {
+                            let src = at.src(x);
+                            if let Src::Row(r) = src {
+                                d |= dep[r as usize];
+                            }
+                            plan.reads[first + slot] = src;
+                        });
+                        Op::Nested {
+                            reads: first as u32,
+                            mask: d & !own,
+                        }
+                    } else {
+                        let ops = [fa, fb].map(|f| at.operand(f));
+                        for o in ops {
+                            if let Src::Row(r) = o.src {
+                                d |= dep[r as usize];
+                            }
+                        }
+                        Op::Plain(ops)
+                    }
+                }
+                _ => Op::Base,
+            };
+            at.set(n, plan.rows.len() as u32);
+            dep.push(d);
+            plan.rows.push(Row {
+                node: n.index() as u32,
+                pin,
+                op,
+            });
+        });
+        plan.ends = ends.map(|l| at.operand(l));
+    }
+
+    /// Formula (2) over a plan, assignment-major: each row holds one value
+    /// per assignment `v`, filled in plan order, so every cone node is
+    /// visited once for all `2^|W|` assignments. Returns `None` when no
+    /// assignment carries weight.
+    ///
+    /// `weight[v]` is `P(A_v)` accumulated by the chain rule in pin order;
+    /// once it is `≤ 0` the assignment is dead, its weight stays put and
+    /// its lanes are never read again. Plain rows are computed for every
+    /// lane (a dead lane's value is unused); nested rows only for live
+    /// lanes, once per projection `v & mask`.
+    fn sweep(&self, base: &[f64], plan: &Plan, t: &mut SweepTable) -> Option<f64> {
+        let nv = 1usize << plan.pins;
+        if t.vals.len() < plan.rows.len() * nv {
+            t.vals.resize(plan.rows.len() * nv, 0.0);
         }
-        // Bound the nested enumeration tighter than MAXVERS: this runs per
-        // affected node per outer assignment.
-        let wn = ncache.joining.len().min(self.maxvers.min(MAX_NESTED_VERS));
-        let w = &ncache.joining[..wn];
-        // The nested cone has at most MAX_NESTED_CONE (= 32) entries, so
-        // the descendant bitsets are single words; the walk visits only the
-        // pins' descendant closure (everything else falls back to the outer
-        // context / base values unchanged).
-        let mut sublist: u64 = 0;
-        for j in 0..wn {
-            sublist |= ncache.desc(j)[0];
+        if t.seen.len() < nv {
+            t.seen.resize(nv, 0);
+            t.proj.resize(nv, 0.0);
         }
+        let SweepTable {
+            vals,
+            weight,
+            proj,
+            seen,
+            epoch,
+        } = t;
+        weight.clear();
+        weight.resize(nv, 1.0);
+        for (r, row) in plan.rows.iter().enumerate() {
+            let (done, rest) = vals.split_at_mut(r * nv);
+            let out = &mut rest[..nv];
+            match row.op {
+                Op::Base => out.fill(base[row.node as usize]),
+                Op::Plain([a, b]) => {
+                    product_row(out, a.lane(done, nv, base), b.lane(done, nv, base));
+                }
+                Op::Nested { reads, mask } => {
+                    let reads = &plan.reads[reads as usize..];
+                    let n = AigNodeId::from_index(row.node as usize);
+                    // A fresh projection memo for this row.
+                    next_epoch(epoch, seen);
+                    let mut nested = None;
+                    for (v, o) in out.iter_mut().enumerate() {
+                        if weight[v] <= 0.0 {
+                            continue;
+                        }
+                        let key = v & mask as usize;
+                        if seen[key] != *epoch {
+                            seen[key] = *epoch;
+                            let nested = nested.get_or_insert_with(|| Nested::new(self, n));
+                            proj[key] = nested.eval(|slot| match reads[slot] {
+                                Src::Row(q) => done[q as usize * nv + v],
+                                Src::Base(x) => base[x as usize],
+                            });
+                        }
+                        *o = proj[key];
+                    }
+                }
+            }
+            if let Some(i) = row.pin {
+                for (v, (o, w)) in out.iter_mut().zip(weight.iter_mut()).enumerate() {
+                    let bit = (v >> i) & 1 == 1;
+                    // A dead assignment keeps its weight (a NaN weight, like
+                    // the walks', stays live).
+                    let dead = *w <= 0.0;
+                    if !dead {
+                        *w *= if bit { *o } else { 1.0 - *o };
+                    }
+                    *o = f64::from(bit);
+                }
+            }
+        }
+        let [a, b] = plan.ends;
         let mut total = 0.0f64;
         let mut norm = 0.0f64;
-        for v in 0..(1usize << wn) {
-            inner.begin();
+        for (v, &w) in weight.iter().enumerate() {
+            if w <= 0.0 {
+                continue;
+            }
+            let pa_v = a.value(vals, nv, v, base);
+            let pb_v = b.value(vals, nv, v, base);
+            total += w * pa_v * pb_v;
+            norm += w;
+        }
+        (norm > 0.0).then(|| (total / norm).clamp(0.0, 1.0))
+    }
+
+    /// The node [`Nested::eval`] of `n` reads through slot
+    /// `slot` of nested node `n`: `3·ci` is `n`'s cone position `ci`,
+    /// `3·ci + 1` and `3·ci + 2` are that position's two fanins, and
+    /// `3·len`, `3·len + 1` are `n`'s own fanins.
+    fn read_node(&self, n: AigNodeId, slot: usize) -> AigNodeId {
+        let inner = &self.cache[n.index()].inner;
+        let (node, side) = match inner.get(slot / 3) {
+            Some(&m) if slot.is_multiple_of(3) => return m,
+            Some(&m) => (m, slot % 3 - 1),
+            None => (n, slot - 3 * inner.len()),
+        };
+        let (a, b) = self.aig.and_fanins(node).expect("read through an AND");
+        [a, b][side].node()
+    }
+
+    /// Calls `f(slot, node)` for every outer read [`Nested::eval`] of `n`
+    /// can make (see [`read_node`](Self::read_node)): an unaffected member
+    /// of the pins' union, the fanins of an affected member that lie
+    /// outside the union, and `n`'s own fanins.
+    fn for_each_nested_read(&self, n: AigNodeId, mut f: impl FnMut(usize, AigNodeId)) {
+        let nested = Nested::new(self, n);
+        let nc = nested.nc;
+        for_each_set_bit(&[nested.sublist], |ci| {
+            let [f0, f1] = nc.fanin_ci[ci];
+            if !(nested.set(f0) || nested.set(f1)) {
+                f(3 * ci, nc.inner[ci]);
+                return;
+            }
+            for (side, fc) in [f0, f1].into_iter().enumerate() {
+                if !nested.set(fc) {
+                    let slot = 3 * ci + 1 + side;
+                    f(slot, self.read_node(n, slot));
+                }
+            }
+        });
+        let len = nc.inner.len();
+        for slot in [3 * len, 3 * len + 1] {
+            f(slot, self.read_node(n, slot));
+        }
+    }
+}
+
+/// Nested conditioning of one cone node `n` ([`AndCache::nests`]),
+/// prepared once and evaluated per outer context.
+///
+/// A node with its own joining points carries reconvergence *inside* the
+/// cone that the plain product rule would destroy (its base value handled
+/// it by conditioning, but the base value is no longer valid once upstream
+/// pins move its fanins). One level of nested conditioning re-derives the
+/// value: enumerate `n`'s own (capped) joining set in the outer context
+/// and combine with chain-rule weights. Values live by position in `n`'s
+/// cone (at most [`MAX_NESTED_CONE`] of them).
+struct Nested<'e> {
+    nc: &'e AndCache,
+    /// `n`'s fanins.
+    fanins: [AigLit; 2],
+    /// Pins enumerated: `n`'s first `wn` joining points.
+    wn: usize,
+    /// The pins' descendant union, and each pin's position.
+    sublist: u64,
+    roots: [usize; MAX_NESTED_VERS],
+    /// Positions of `n`'s fanins when they are in the union.
+    own: [Option<usize>; 2],
+    /// Bit `ci`: position `ci`'s first / second fanin is complemented.
+    complemented: [u64; 2],
+}
+
+impl<'e> Nested<'e> {
+    fn new(est: &'e SignalProbEstimator, n: AigNodeId) -> Self {
+        let (fa, fb) = est.aig.and_fanins(n).expect("cone interior node is an AND");
+        let nc = &est.cache[n.index()];
+        // Bound the nested enumeration tighter than MAXVERS: this runs per
+        // affected node per outer assignment.
+        let wn = nc.joining.len().min(est.maxvers.min(MAX_NESTED_VERS));
+        let mut sublist = 0u64;
+        let mut roots = [usize::MAX; MAX_NESTED_VERS];
+        for (j, root) in roots.iter_mut().enumerate().take(wn) {
+            // Single words: the cone has at most MAX_NESTED_CONE positions.
+            let d = nc.desc(j)[0];
+            sublist |= d;
+            *root = d.trailing_zeros() as usize;
+        }
+        let mut complemented = [0u64; 2];
+        for_each_set_bit(&[sublist], |ci| {
+            if let Some((ga, gb)) = est.aig.and_fanins(nc.inner[ci]) {
+                complemented[0] |= u64::from(ga.is_complement()) << ci;
+                complemented[1] |= u64::from(gb.is_complement()) << ci;
+            }
+        });
+        let mut nested = Nested {
+            nc,
+            fanins: [fa, fb],
+            wn,
+            sublist,
+            roots,
+            own: [None; 2],
+            complemented,
+        };
+        nested.own = [fa, fb].map(|f| {
+            nc.inner
+                .binary_search(&f.node())
+                .ok()
+                .filter(|&p| nested.set(p as i32))
+        });
+        nested
+    }
+
+    /// Whether cone position `f` (`-1`: outside the cone) is written by a
+    /// walk. Every position of the pins' union is written before it is
+    /// read: a pin is set to its bit, and any other member has a fanin in
+    /// the union. So "set in this walk" is membership.
+    fn set(&self, f: i32) -> bool {
+        f >= 0 && (self.sublist >> f) & 1 == 1
+    }
+
+    /// The value of `n` under the outer context `outer(slot)`, which
+    /// returns the probability of the node
+    /// [`read_node`](SignalProbEstimator::read_node) names for that slot.
+    fn eval(&self, outer: impl Fn(usize) -> f64) -> f64 {
+        WORK.with(|w| w.set(w.get() + 1));
+        let nc = self.nc;
+        let len = nc.inner.len();
+        let mut vals = [0.0f64; MAX_NESTED_CONE];
+        let mut total = 0.0f64;
+        let mut norm = 0.0f64;
+        for v in 0..(1usize << self.wn) {
             let mut weight = 1.0f64;
-            let mut bitsleft = sublist;
+            let mut bitsleft = self.sublist;
             while bitsleft != 0 {
                 let ci = bitsleft.trailing_zeros() as usize;
                 bitsleft &= bitsleft - 1;
-                let m = ncache.inner[ci];
-                let affected = match self.aig.and_fanins(m) {
-                    Some((ga, gb)) => inner.is_set(ga.node()) || inner.is_set(gb.node()),
-                    None => false,
-                };
-                let phat = if affected {
-                    let (ga, gb) = self.aig.and_fanins(m).expect("affected implies AND");
-                    // Fallback chain: nested scratch → outer scratch → base.
-                    let va = inner.lit_value_over(outer, base, ga);
-                    let vb = inner.lit_value_over(outer, base, gb);
-                    va * vb
+                let [f0, f1] = nc.fanin_ci[ci];
+                let (s0, s1) = (self.set(f0), self.set(f1));
+                let phat = if s0 || s1 {
+                    let va = if s0 {
+                        vals[f0 as usize]
+                    } else {
+                        outer(3 * ci + 1)
+                    };
+                    let vb = if s1 {
+                        vals[f1 as usize]
+                    } else {
+                        outer(3 * ci + 2)
+                    };
+                    complement(va, (self.complemented[0] >> ci) & 1 == 1)
+                        * complement(vb, (self.complemented[1] >> ci) & 1 == 1)
                 } else {
-                    outer.get(base, m)
+                    outer(3 * ci)
                 };
-                if let Some(i) = w.iter().position(|&x| x == m) {
+                if let Some(i) = self.roots[..self.wn].iter().position(|&r| r == ci) {
                     let bit = (v >> i) & 1 == 1;
                     weight *= if bit { phat } else { 1.0 - phat };
                     if weight <= 0.0 {
                         break;
                     }
-                    inner.set(m, f64::from(bit));
-                } else if affected {
-                    inner.set(m, phat);
+                    vals[ci] = f64::from(bit);
+                } else {
+                    vals[ci] = phat;
                 }
             }
             if weight <= 0.0 {
                 continue;
             }
-            let va = inner.lit_value_over(outer, base, fa);
-            let vb = inner.lit_value_over(outer, base, fb);
+            let [va, vb] = [0, 1].map(|side| {
+                let p = self.own[side].map_or_else(|| outer(3 * len + side), |p| vals[p]);
+                lit_value(p, self.fanins[side])
+            });
             total += weight * va * vb;
             norm += weight;
         }
+        let [fa, fb] = self.fanins;
         if norm <= 0.0 {
-            let va = outer.lit_value(base, fa);
-            let vb = outer.lit_value(base, fb);
-            return va * vb;
+            return lit_value(outer(3 * len), fa) * lit_value(outer(3 * len + 1), fb);
         }
         (total / norm).clamp(0.0, 1.0)
+    }
+}
+
+/// Cone-local scoring walk without nested conditioning, over the cone
+/// [`Scratch2::load_cone`] loaded: the candidate's position (the lowest
+/// bit of its descendant set) is pinned to 1, and every other position of
+/// the set has a fanin in it and is re-derived by the product rule. A
+/// fanin outside the set reads its base estimate, which is what its slot
+/// holds, so no read tests membership; the written positions are restored
+/// afterwards.
+fn score_plain(cache: &AndCache, j: usize, scratch: &mut Scratch2) -> (f64, f64) {
+    let Scratch2 {
+        vals,
+        base_vals,
+        ops,
+        ends,
+        ..
+    } = scratch;
+    let read =
+        |vals: &[f64], op: u32| complement(vals[(op & !COMPLEMENT) as usize], op >= COMPLEMENT);
+    let d = cache.desc(j);
+    let root = first_set_bit(d);
+    vals[root] = 1.0;
+    for_each_set_bit(d, |ci| {
+        if ci != root {
+            let [a, b] = ops[ci];
+            vals[ci] = read(vals, a) * read(vals, b);
+        }
+    });
+    let out = (read(vals, ends[0]), read(vals, ends[1]));
+    for_each_set_bit(d, |ci| vals[ci] = base_vals[ci]);
+    out
+}
+
+/// `out[v] = a[v] · b[v]` over one row.
+fn product_row(out: &mut [f64], a: Lane<'_>, b: Lane<'_>) {
+    match (a, b) {
+        (Lane::Row(x, cx), Lane::Row(y, cy)) => {
+            for ((o, &p), &q) in out.iter_mut().zip(x).zip(y) {
+                *o = complement(p, cx) * complement(q, cy);
+            }
+        }
+        // IEEE multiplication commutes, so the operand order is free.
+        (Lane::Row(x, cx), Lane::Const(q)) | (Lane::Const(q), Lane::Row(x, cx)) => {
+            for (o, &p) in out.iter_mut().zip(x) {
+                *o = complement(p, cx) * q;
+            }
+        }
+        (Lane::Const(p), Lane::Const(q)) => out.fill(p * q),
     }
 }
 
@@ -843,15 +1003,33 @@ pub(crate) const MIN_PAR_WIDE: usize = 1024;
 
 /// Probability of a literal given per-node probabilities.
 pub(crate) fn lit_prob(probs: &[f64], lit: AigLit) -> f64 {
-    let p = probs[lit.node().index()];
-    if lit.is_complement() {
+    lit_value(probs[lit.node().index()], lit)
+}
+
+/// `p` or `1 − p`.
+#[inline(always)]
+fn complement(p: f64, c: bool) -> f64 {
+    if c {
         1.0 - p
     } else {
         p
     }
 }
 
-/// Epoch-stamped scratch values for conditional propagation (O(1) reset).
+/// The value of `lit` when its node has probability `p`.
+#[inline(always)]
+fn lit_value(p: f64, lit: AigLit) -> f64 {
+    complement(p, lit.is_complement())
+}
+
+thread_local! {
+    /// Nested conditioning evaluations run on this thread: a
+    /// deterministic work count for the tests.
+    static WORK: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Epoch-stamped AIG-indexed values for the nested scoring walk (O(1)
+/// reset).
 #[derive(Debug, Clone)]
 struct Scratch {
     value: Vec<f64>,
@@ -868,11 +1046,7 @@ impl Scratch {
         }
     }
     fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
+        next_epoch(&mut self.epoch, &mut self.stamp);
     }
     fn set(&mut self, n: AigNodeId, v: f64) {
         self.value[n.index()] = v;
@@ -882,82 +1056,242 @@ impl Scratch {
         self.stamp[n.index()] == self.epoch
     }
     fn get(&self, base: &[f64], n: AigNodeId) -> f64 {
-        if self.stamp[n.index()] == self.epoch {
+        if self.is_set(n) {
             self.value[n.index()]
         } else {
             base[n.index()]
         }
     }
     fn lit_value(&self, base: &[f64], lit: AigLit) -> f64 {
-        let p = self.get(base, lit.node());
-        if lit.is_complement() {
-            1.0 - p
-        } else {
-            p
-        }
-    }
-    /// Like [`lit_value`](Scratch::lit_value) with a two-level fallback:
-    /// this scratch first, then `outer`, then `base`.
-    fn lit_value_over(&self, outer: &Scratch, base: &[f64], lit: AigLit) -> f64 {
-        let n = lit.node();
-        let p = if self.is_set(n) {
-            self.value[n.index()]
-        } else {
-            outer.get(base, n)
-        };
-        if lit.is_complement() {
-            1.0 - p
-        } else {
-            p
-        }
+        lit_value(self.get(base, lit.node()), lit)
     }
 }
 
-/// A pair of [`Scratch`] buffers: one for the outer conditional pass and
-/// one for nested (per-cone-node) conditioning, which runs while the outer
-/// pass is mid-walk. Opaque outside this module; obtained via
-/// [`SignalProbEstimator::new_scratch`].
+/// Per-thread scratch of the per-node kernel. Opaque outside this module;
+/// obtained via [`SignalProbEstimator::new_scratch`].
 #[derive(Debug, Clone)]
 pub(crate) struct Scratch2 {
+    /// AIG-indexed values of the nested scoring walk.
     outer: Scratch,
-    inner: Scratch,
-    memo: Memo,
-    /// Per-node cache of the last evaluation's `W`-dependent structures
-    /// (selected pin set, pin-dependency masks, affected sublist). All
-    /// value-independent given `W`, so a *persistent* scratch — an
-    /// [`crate::AnalysisSession`] — skips rebuilding them whenever a
-    /// re-evaluated node selects the same conditioning set as last time.
-    /// A fresh scratch (every [`SignalProbEstimator::full_estimate`] call)
-    /// starts cold, exactly like the stateless API always has.
-    cond: Vec<CondState>,
-}
-
-/// See [`Scratch2::cond`].
-#[derive(Debug, Clone, Default)]
-struct CondState {
-    /// Joining-candidate indices of the last selected `W` (ascending).
-    w: Vec<u32>,
-    /// Pin-dependency masks over the full cone for that `W`.
+    /// Value slots of the plain scoring walks (see
+    /// [`load_cone`](Scratch2::load_cone)), and the base estimates of the
+    /// cone positions they are restored to.
+    vals: Vec<f64>,
+    base_vals: Vec<f64>,
+    /// Per cone position, the value slots of its two fanins; and the slots
+    /// of the scored AND's fanins. [`COMPLEMENT`] marks a complemented
+    /// literal.
+    ops: Vec<[u32; 2]>,
+    ends: [u32; 2],
+    /// AIG node → plan row, while a plan is built.
+    row_of: RowMap,
+    /// Pin-dependency mask per plan row, while a plan is built.
     dep: Vec<u32>,
-    /// Union of the pins' descendant sublists (cone indices, ascending).
-    affected: Vec<u32>,
+    /// The plan of the node being evaluated, rebuilt per evaluation into
+    /// reused buffers (see the module docs).
+    plan: Plan,
+    /// The sweep's per-assignment rows and buffers.
+    sweep: SweepTable,
 }
 
 impl Scratch2 {
     fn new(n: usize) -> Self {
         Scratch2 {
             outer: Scratch::new(n),
-            inner: Scratch::new(n),
-            memo: Memo::default(),
-            cond: (0..n).map(|_| CondState::default()).collect(),
+            vals: Vec::new(),
+            base_vals: Vec::new(),
+            ops: Vec::new(),
+            ends: [0; 2],
+            row_of: RowMap::new(n),
+            dep: Vec::new(),
+            plan: Plan::default(),
+            sweep: SweepTable::default(),
         }
     }
-    fn split(&mut self) -> (&mut Scratch, &mut Scratch) {
-        (&mut self.outer, &mut self.inner)
+
+    /// Loads the cone of `cache` for the plain scoring walks: one value
+    /// slot per cone position holding its base estimate, then one slot per
+    /// literal read from outside the cone, and each read's slot.
+    fn load_cone(&mut self, aig: &Aig, cache: &AndCache, base: &[f64], ends: [AigLit; 2]) {
+        self.vals.clear();
+        self.vals
+            .extend(cache.inner.iter().map(|x| base[x.index()]));
+        self.base_vals.clear();
+        self.base_vals.extend_from_slice(&self.vals);
+        let vals = &mut self.vals;
+        let mut slot = |pos: Option<usize>, lit: AigLit| {
+            let s = pos.unwrap_or_else(|| {
+                vals.push(base[lit.node().index()]);
+                vals.len() - 1
+            });
+            s as u32 | if lit.is_complement() { COMPLEMENT } else { 0 }
+        };
+        self.ops.clear();
+        for (&x, fc) in cache.inner.iter().zip(&cache.fanin_ci) {
+            // A position without fanins is only ever a walk's root.
+            let Some((fa, fb)) = aig.and_fanins(x) else {
+                self.ops.push([0; 2]);
+                continue;
+            };
+            let pos = fc.map(|f| usize::try_from(f).ok());
+            self.ops.push([slot(pos[0], fa), slot(pos[1], fb)]);
+        }
+        self.ends = ends.map(|l| slot(cache.inner.binary_search(&l.node()).ok(), l));
     }
-    /// Invalidates all memo entries and guarantees capacity for `slots`.
-    fn memo_begin(&mut self, slots: usize) {
-        self.memo.begin(slots);
+}
+
+/// Marks a complemented literal in a [`Scratch2::ops`] slot.
+const COMPLEMENT: u32 = 1 << 31;
+
+/// The sweep plan of one node for one selected `W` (see the module docs).
+#[derive(Debug, Clone)]
+struct Plan {
+    /// `|W|`.
+    pins: usize,
+    /// One row per position of the pins' descendant union, ascending.
+    rows: Vec<Row>,
+    /// Outer reads of the nested rows, `3·|cone| + 2` slots per row (see
+    /// [`SignalProbEstimator::read_node`]), each mapped to a row or a base
+    /// node.
+    reads: Vec<Src>,
+    /// Where the AND's two fanins are read from.
+    ends: [Operand; 2],
+}
+
+impl Default for Plan {
+    fn default() -> Self {
+        let none = Operand {
+            src: Src::Base(0),
+            complement: false,
+        };
+        Plan {
+            pins: 0,
+            rows: Vec::new(),
+            reads: Vec::new(),
+            ends: [none; 2],
+        }
+    }
+}
+
+/// One plan row: the cone node it holds, its pin bit in the assignment
+/// (`None` if unpinned) and how its pre-pin value is computed.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    node: u32,
+    pin: Option<u32>,
+    op: Op,
+}
+
+/// How a row's pre-pin value is computed.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// No fanin is in the plan: the base estimate (only pins).
+    Base,
+    /// The product rule over the two operands.
+    Plain([Operand; 2]),
+    /// Nested conditioning, once per live projection `v & mask`; the
+    /// node's outer reads start at `reads` in [`Plan::reads`].
+    Nested { reads: u32, mask: u32 },
+}
+
+/// Where a value comes from in a sweep: an earlier row, or a base node.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    Row(u32),
+    Base(u32),
+}
+
+/// A literal operand: its source and whether it is complemented.
+#[derive(Debug, Clone, Copy)]
+struct Operand {
+    src: Src,
+    complement: bool,
+}
+
+/// An operand resolved for one row: a row of values, or one value.
+#[derive(Clone, Copy)]
+enum Lane<'a> {
+    Row(&'a [f64], bool),
+    Const(f64),
+}
+
+impl Operand {
+    fn lane<'a>(self, rows: &'a [f64], nv: usize, base: &[f64]) -> Lane<'a> {
+        match self.src {
+            Src::Row(r) => Lane::Row(&rows[r as usize * nv..][..nv], self.complement),
+            Src::Base(x) => Lane::Const(complement(base[x as usize], self.complement)),
+        }
+    }
+
+    fn value(self, rows: &[f64], nv: usize, v: usize, base: &[f64]) -> f64 {
+        let p = match self.src {
+            Src::Row(r) => rows[r as usize * nv + v],
+            Src::Base(x) => base[x as usize],
+        };
+        complement(p, self.complement)
+    }
+}
+
+/// AIG node → plan row, epoch-stamped (O(1) reset per plan).
+#[derive(Debug, Clone)]
+struct RowMap {
+    stamp: Vec<u32>,
+    row: Vec<u32>,
+    epoch: u32,
+}
+
+impl RowMap {
+    fn new(n: usize) -> Self {
+        RowMap {
+            stamp: vec![0; n],
+            row: vec![0; n],
+            epoch: 0,
+        }
+    }
+    fn begin(&mut self) {
+        next_epoch(&mut self.epoch, &mut self.stamp);
+    }
+    fn set(&mut self, n: AigNodeId, r: u32) {
+        self.stamp[n.index()] = self.epoch;
+        self.row[n.index()] = r;
+    }
+    fn has(&self, n: AigNodeId) -> bool {
+        self.stamp[n.index()] == self.epoch
+    }
+    fn src(&self, n: AigNodeId) -> Src {
+        if self.has(n) {
+            Src::Row(self.row[n.index()])
+        } else {
+            Src::Base(n.index() as u32)
+        }
+    }
+    fn operand(&self, lit: AigLit) -> Operand {
+        Operand {
+            src: self.src(lit.node()),
+            complement: lit.is_complement(),
+        }
+    }
+}
+
+/// The sweep's buffers, reused across nodes: the row table (`2^|W|`
+/// values per plan row), the assignment weights, and the per-row
+/// projection memo of nested rows (epoch-stamped).
+#[derive(Debug, Clone, Default)]
+struct SweepTable {
+    vals: Vec<f64>,
+    weight: Vec<f64>,
+    proj: Vec<f64>,
+    seen: Vec<u32>,
+    epoch: u32,
+}
+
+/// Advances an epoch that `stamp` entries are compared against (so equal
+/// means "set in this epoch"), clearing the stamps when it wraps.
+fn next_epoch(epoch: &mut u32, stamp: &mut [u32]) {
+    *epoch = epoch.wrapping_add(1);
+    if *epoch == 0 {
+        stamp.fill(0);
+        *epoch = 1;
     }
 }
 
@@ -972,48 +1306,22 @@ fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// The cone indices (ascending) a walk pinning `w_idx` can touch: the
+/// The lowest set-bit position of a non-empty bitset.
+fn first_set_bit(words: &[u64]) -> usize {
+    let wi = words.iter().position(|&w| w != 0).expect("non-empty set");
+    (wi << 6) | words[wi].trailing_zeros() as usize
+}
+
+/// The cone positions a walk pinning `w_idx` can touch, as a bitset: the
 /// union of the candidates' descendant bitsets.
-fn affected_sublist(cache: &AndCache, w_idx: &[u32]) -> Vec<u32> {
+fn affected_mask(cache: &AndCache, w_idx: &[u32]) -> Vec<u64> {
     let mut mask = vec![0u64; cache.inner.len().div_ceil(64)];
     for &j in w_idx {
-        for (wi, &d) in cache.desc(j as usize).iter().enumerate() {
-            mask[wi] |= d;
+        for (m, &d) in mask.iter_mut().zip(cache.desc(j as usize)) {
+            *m |= d;
         }
     }
-    let mut out = Vec::new();
-    for_each_set_bit(&mask, |ci| out.push(ci as u32));
-    out
-}
-
-/// Epoch-stamped memo table for nested cone values, keyed by
-/// `(cone index) << |W| | projected assignment`.
-#[derive(Debug, Clone, Default)]
-struct Memo {
-    value: Vec<f64>,
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl Memo {
-    fn begin(&mut self, slots: usize) {
-        if self.stamp.len() < slots {
-            self.stamp.resize(slots, 0);
-            self.value.resize(slots, 0.0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-    }
-    fn lookup(&self, key: usize) -> Option<f64> {
-        (self.stamp[key] == self.epoch).then(|| self.value[key])
-    }
-    fn store(&mut self, key: usize, v: f64) {
-        self.value[key] = v;
-        self.stamp[key] = self.epoch;
-    }
+    mask
 }
 
 /// Builds every node's [`AndCache`]. A node's cache depends only on the
@@ -1322,6 +1630,9 @@ fn bounded_cone(
 
 #[cfg(test)]
 mod reference;
+
+#[cfg(test)]
+mod sweep_reference;
 
 #[cfg(test)]
 mod tests {
